@@ -41,8 +41,11 @@ ownership:
 	$(GO) run ./cmd/ndplint -ownership-report ./... > results/ownership.json
 	$(GO) run ./cmd/ndplint -list-suppressions ./... > results/golden/ndplint-suppressions.txt
 
+# bench runs the event-core and message-path micro-benchmarks: dataBorrowed
+# lookups, mailbox enqueue+drain and task-queue push/pop.
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench 'BenchmarkBorrowed|BenchmarkMailbox|BenchmarkQueue' -benchmem -run xxx ./internal/metadata/ ./internal/mailbox/ ./internal/task/
 
 # benchdiff reruns the small-scale campaign and diffs it against the
 # committed baseline; exits non-zero on a >10% events/sec regression.

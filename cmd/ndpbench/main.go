@@ -3,7 +3,7 @@
 //
 //	ndpbench                  # every experiment at full scale (slow)
 //	ndpbench -exp fig10       # one experiment
-//	ndpbench -exp fig14a -small
+//	ndpbench -exp fig14a -scale small
 //	ndpbench -j 8             # eight simulations in flight at once
 //	ndpbench -benchjson results/bench.json
 //	ndpbench -metrics results/  # per-experiment instrument metrics JSON
@@ -115,7 +115,6 @@ func main() {
 	}
 	var (
 		exp       = flag.String("exp", "", "comma-separated experiments to run (default: all)")
-		small     = flag.Bool("small", false, "run test-sized systems and workloads")
 		scale     = flag.String("scale", "", "workload scale: full (paper-sized), medium, small")
 		csvDir    = flag.String("csv", "", "also write each experiment's table as <dir>/<name>.csv")
 		jobsN     = flag.Int("j", 0, "simulations to run concurrently (0 = one per CPU, 1 = sequential)")
@@ -194,10 +193,6 @@ func main() {
 
 	sc := experiments.Full
 	scName := "full"
-	if *small {
-		sc = experiments.Small
-		scName = "small"
-	}
 	switch *scale {
 	case "", "full":
 	case "medium":

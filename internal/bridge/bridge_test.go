@@ -112,7 +112,7 @@ func TestLevel1CrossRankGoesUp(t *testing.T) {
 	if b.UpPending() == 0 {
 		t.Fatal("cross-rank message should be waiting for level 2")
 	}
-	ms := b.DrainUp(1 << 16)
+	ms, _ := b.DrainUp(1 << 16)
 	if len(ms) != 1 || ms[0].Type != msg.TypeTask || ms[0].Dst != 5 {
 		t.Fatalf("up message wrong: %+v", ms)
 	}

@@ -239,21 +239,9 @@ func (b *Level1) KillChild(child int) []*msg.Message {
 			}
 		}
 	}
-	lost = append(lost, b.scatter[idx]...)
-	b.scatter[idx] = nil
-	b.scatterBytes[idx] = 0
-	if len(b.backup) > 0 {
-		keep := b.backup[:0]
-		for _, m := range b.backup {
-			if m.Dst == child {
-				b.backupBytes -= m.Size()
-				lost = append(lost, m)
-			} else {
-				keep = append(keep, m)
-			}
-		}
-		b.backup = keep
-	}
+	lost = append(lost, b.scatter[idx].Msgs()...)
+	b.scatter[idx].Reset()
+	lost = b.backup.RemoveIf(lost, func(m *msg.Message) bool { return m.Dst == child })
 	delete(b.toArrive, child)
 	return lost
 }

@@ -60,13 +60,11 @@ type Level1 struct {
 	banksPerChip int //ndplint:nosnap geometry constant from config
 
 	// Scatter buffers, one per child, byte-capped.
-	scatter      [][]*msg.Message
-	scatterBytes []uint64
+	scatter []msg.FIFO
 
-	// Backup buffer (FIFO) absorbing overflow; gathering pauses while it
-	// exceeds its capacity.
-	backup      []*msg.Message
-	backupBytes uint64
+	// Backup buffer absorbing overflow; gathering pauses while it exceeds
+	// its capacity.
+	backup msg.FIFO
 
 	// upMail holds messages bound for other ranks until level-2 gathers.
 	upMail *mailbox.Mailbox
@@ -126,13 +124,13 @@ func (b *Level1) BindMetrics(reg *metrics.Registry) {
 
 // BackupBytes returns the bytes held in the overflow backup buffer, for the
 // bridge-buffer-occupancy gauge.
-func (b *Level1) BackupBytes() uint64 { return b.backupBytes }
+func (b *Level1) BackupBytes() uint64 { return b.backup.Bytes() }
 
 // ScatterBacklog returns the bytes waiting in all per-child scatter buffers.
 func (b *Level1) ScatterBacklog() uint64 {
 	var n uint64
-	for _, s := range b.scatterBytes {
-		n += s
+	for c := range b.scatter {
+		n += b.scatter[c].Bytes()
 	}
 	return n
 }
@@ -176,8 +174,7 @@ func NewLevel1(rank int, env Env, children []*ndpunit.Unit, rng *sim.RNG) *Level
 		children:     children,
 		chips:        cfg.Geometry.ChipsPerRank,
 		banksPerChip: cfg.Geometry.BanksPerChip,
-		scatter:      make([][]*msg.Message, len(children)),
-		scatterBytes: make([]uint64, len(children)),
+		scatter:      make([]msg.FIFO, len(children)),
 		upMail:       mailbox.New(cfg.Buffers.BridgeMailboxBytes),
 		borrowed:     metadata.NewBorrowed(cfg.Metadata.BridgeBorrowedEntries, cfg.Metadata.BridgeBorrowedWays),
 		toArrive:     make(map[int]uint64),
@@ -310,7 +307,7 @@ func (b *Level1) allQuiet() bool {
 			return false
 		}
 	}
-	return b.upMail.Empty() && len(b.backup) == 0
+	return b.upMail.Empty() && b.backup.Len() == 0
 }
 
 // newRound allocates a level-1 round tag (even).
@@ -402,7 +399,7 @@ func (b *Level1) gatherEligible() bool {
 }
 
 func (b *Level1) paused() bool {
-	total := b.backupBytes
+	total := b.backup.Bytes()
 	if b.fi != nil {
 		total += b.fi.extraBackup
 	}
@@ -410,12 +407,12 @@ func (b *Level1) paused() bool {
 }
 
 func (b *Level1) scatterPending() bool {
-	for _, n := range b.scatterBytes {
-		if n > 0 {
+	for c := range b.scatter {
+		if b.scatter[c].Len() > 0 {
 			return true
 		}
 	}
-	return len(b.backup) > 0
+	return b.backup.Len() > 0
 }
 
 // --- The bus loop ---------------------------------------------------------
@@ -472,7 +469,7 @@ func (b *Level1) anyActivity() bool {
 			return true
 		}
 	}
-	return !b.upMail.Empty() || len(b.backup) > 0
+	return !b.upMail.Empty() || b.backup.Len() > 0
 }
 
 func (b *Level1) fixedInterval() sim.Cycles {
@@ -518,7 +515,7 @@ func (b *Level1) gatherRound() (sim.Cycles, bool) {
 			continue
 		}
 		u := b.children[child]
-		ms, _ := u.DrainMailbox(cfg.GXfer)
+		ms, n := u.DrainMailbox(cfg.GXfer)
 		if len(ms) == 0 {
 			if fixed {
 				b.st.WastedGathers++
@@ -527,7 +524,7 @@ func (b *Level1) gatherRound() (sim.Cycles, bool) {
 			}
 			continue
 		}
-		movedBytes += msg.TotalSize(ms)
+		movedBytes += n
 		for _, m := range ms {
 			b.gatherIn(child, m)
 		}
@@ -570,17 +567,15 @@ func (b *Level1) scatterRound() (sim.Cycles, bool) {
 		if idx < 0 {
 			continue
 		}
+		q := &b.scatter[idx]
 		var sent uint64
-		for sent < cfg.GXfer && len(b.scatter[idx]) > 0 {
-			m := b.scatter[idx][0]
-			s := m.Size()
-			if sent > 0 && sent+s > cfg.GXfer {
+		for sent < cfg.GXfer {
+			_, s, ok := q.Head()
+			if !ok || (sent > 0 && sent+s > cfg.GXfer) {
 				break
 			}
-			b.scatter[idx] = b.scatter[idx][1:]
-			b.scatterBytes[idx] -= s
 			sent += s
-			b.deliverToChild(idx, m)
+			b.deliverToChild(idx, q.Pop())
 		}
 		if sent > 0 {
 			movedBytes += sent
@@ -606,7 +601,7 @@ func (b *Level1) pickScatterChild(chip int) int {
 				continue
 			}
 		}
-		if used := b.scatterBytes[idx]; used > bestUsed {
+		if used := b.scatter[idx].Bytes(); used > bestUsed {
 			best, bestUsed = idx, used
 		}
 	}
@@ -845,16 +840,12 @@ func (b *Level1) enqueueScatter(idx int, m *msg.Message) {
 		}
 		return
 	}
-	cfg := b.cfg
-	s := m.Size()
-	if b.scatterBytes[idx]+s <= cfg.Buffers.ScatterBufBytes && len(b.backup) == 0 {
-		b.scatter[idx] = append(b.scatter[idx], m)
-		b.scatterBytes[idx] += s
+	if b.scatter[idx].Bytes()+m.Size() <= b.cfg.Buffers.ScatterBufBytes && b.backup.Len() == 0 {
+		b.scatter[idx].Push(m)
 		return
 	}
 	// Overflow to the backup buffer (FIFO to preserve ordering).
-	b.backup = append(b.backup, m)
-	b.backupBytes += s
+	b.backup.Push(m)
 }
 
 func (b *Level1) pushUp(m *msg.Message) {
@@ -864,42 +855,40 @@ func (b *Level1) pushUp(m *msg.Message) {
 		}
 		return
 	}
-	b.backup = append(b.backup, m)
-	b.backupBytes += m.Size()
+	b.backup.Push(m)
 }
 
 // reinjectBackup moves backed-up messages into their target buffers in FIFO
 // order, stopping at the first that still does not fit.
 func (b *Level1) reinjectBackup() {
 	cfg := b.cfg
-	for len(b.backup) > 0 {
-		m := b.backup[0]
-		s := m.Size()
+	for {
+		m, s, ok := b.backup.Head()
+		if !ok {
+			return
+		}
 		if b.isLocalUnit(m.Dst) && !(m.Sched && m.Dst < 0) {
 			idx := b.localIndex(m.Dst)
 			if b.fi != nil && b.fi.dead[idx] {
-				b.backup = b.backup[1:]
-				b.backupBytes -= s
+				b.backup.Pop()
 				if b.fi.lost != nil {
 					b.fi.lost(m)
 				}
 				continue
 			}
-			if b.scatterBytes[idx]+s > cfg.Buffers.ScatterBufBytes {
+			if b.scatter[idx].Bytes()+s > cfg.Buffers.ScatterBufBytes {
 				return
 			}
-			b.scatter[idx] = append(b.scatter[idx], m)
-			b.scatterBytes[idx] += s
+			b.scatter[idx].Push(b.backup.Pop())
 		} else {
 			if !b.upMail.Enqueue(m) {
 				return
 			}
+			b.backup.Pop()
 			if b.up != nil {
 				b.up.KickChannel(b.rank)
 			}
 		}
-		b.backup = b.backup[1:]
-		b.backupBytes -= s
 	}
 }
 
@@ -936,12 +925,12 @@ func (b *Level1) UpPending() uint64 { return b.upMail.Used() }
 // messages are stamped and tracked on their way out; a full retransmit
 // buffer refuses the drain until acks free space.
 //ndplint:seam partition boundary: channel bridge pulls the rank upward queue
-func (b *Level1) DrainUp(budget uint64) []*msg.Message {
+func (b *Level1) DrainUp(budget uint64) ([]*msg.Message, uint64) {
 	if b.fi != nil && b.fi.upRet != nil && b.fi.upRet.Full() {
 		b.env.Trace().Span(0, 0, trace.SpanBlocked, trace.CatRetry, -1, b.eng.Now(), b.eng.Now())
-		return nil
+		return nil, 0
 	}
-	ms := b.upMail.DrainUpTo(budget)
+	ms, n := b.upMail.Drain(budget)
 	if len(ms) > 0 {
 		b.reinjectBackup()
 	}
@@ -968,7 +957,7 @@ func (b *Level1) DrainUp(budget uint64) []*msg.Message {
 			b.fi.upRet.Track(m)
 		}
 	}
-	return ms
+	return ms, n
 }
 
 // AggregateState sums child states for level-2 scheduling decisions.

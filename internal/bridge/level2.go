@@ -35,8 +35,7 @@ type Level2 struct {
 	nextRound uint32
 
 	// scatterQ holds messages awaiting channel transfer to each rank.
-	scatterQ     [][]*msg.Message
-	scatterBytes []uint64
+	scatterQ []msg.FIFO
 
 	running []bool // per-channel loop active
 	idle    map[int]bool
@@ -109,8 +108,7 @@ func NewLevel2(env Env, bridges []*Level1, rng *sim.RNG) *Level2 {
 		borrowed:     metadata.NewBorrowed(cfg.Metadata.BridgeBorrowedEntries, cfg.Metadata.BridgeBorrowedWays),
 		assign:       make(map[schedKey]*assignState),
 		nextRound:    1,
-		scatterQ:     make([][]*msg.Message, len(bridges)),
-		scatterBytes: make([]uint64, len(bridges)),
+		scatterQ:     make([]msg.FIFO, len(bridges)),
 		running:      make([]bool, len(links)),
 		idle:         make(map[int]bool),
 		rng:          rng,
@@ -286,11 +284,14 @@ func (l *Level2) step(ch int) {
 		// rank's queue until acks free space).
 		retry := l.fi != nil && l.fi.downRet != nil
 		if !retry || !l.fi.downRet[r].Full() {
-			for len(l.scatterQ[r]) > 0 && bytes < budget {
-				m := l.scatterQ[r][0]
-				l.scatterQ[r] = l.scatterQ[r][1:]
-				l.scatterBytes[r] -= m.Size()
-				bytes += m.Size()
+			q := &l.scatterQ[r]
+			for bytes < budget {
+				_, s, ok := q.Head()
+				if !ok {
+					break
+				}
+				m := q.Pop()
+				bytes += s
 				if retry {
 					if m.Seq == 0 {
 						l.fi.downSeq[r]++
@@ -307,9 +308,9 @@ func (l *Level2) step(ch int) {
 		}
 		// Gather the rank's up-bound messages.
 		if bytes < budget {
-			ms := l.bridges[r].DrainUp(budget - bytes)
+			ms, n := l.bridges[r].DrainUp(budget - bytes)
+			bytes += n
 			for _, m := range ms {
-				bytes += m.Size()
 				up = append(up, l2Delivery{r, m})
 			}
 		}
@@ -317,7 +318,7 @@ func (l *Level2) step(ch int) {
 	if len(down) == 0 && len(up) == 0 {
 		// Keep polling while upstream work is still in progress.
 		for _, r := range ranks {
-			if l.bridges[r].HasWork() || l.scatterBytes[r] > 0 {
+			if l.bridges[r].HasWork() || l.scatterQ[r].Len() > 0 {
 				eng.After(cfg.IMin(), l.stepFns[ch])
 				return
 			}
@@ -452,7 +453,6 @@ func (l *Level2) insertBorrowed(blk uint64, rank int) {
 }
 
 func (l *Level2) pushDown(rank int, m *msg.Message) {
-	l.scatterQ[rank] = append(l.scatterQ[rank], m)
-	l.scatterBytes[rank] += m.Size()
+	l.scatterQ[rank].Push(m)
 	l.ensureLoop(l.groupOf(rank))
 }

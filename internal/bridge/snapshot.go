@@ -15,6 +15,16 @@ import (
 // dropped. Map-backed state (toArrive, assign, idle) is encoded in sorted
 // key order so the byte stream is deterministic.
 
+// encodeFIFO encodes one bridge message queue: its byte occupancy, then its
+// messages front to back.
+func encodeFIFO(e *checkpoint.Enc, q *msg.FIFO) {
+	e.U64(q.Bytes())
+	e.U32(uint32(q.Len()))
+	for _, m := range q.Msgs() {
+		msg.EncodeSnapshot(e, m)
+	}
+}
+
 // SnapshotTo encodes the level-1 bridge's complete mutable state.
 func (b *Level1) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(int64(b.rank))
@@ -38,17 +48,9 @@ func (b *Level1) SnapshotTo(e *checkpoint.Enc) {
 	// Transient buffers.
 	e.U32(uint32(len(b.scatter)))
 	for c := range b.scatter {
-		e.U64(b.scatterBytes[c])
-		e.U32(uint32(len(b.scatter[c])))
-		for _, m := range b.scatter[c] {
-			msg.EncodeSnapshot(e, m)
-		}
+		encodeFIFO(e, &b.scatter[c])
 	}
-	e.U64(b.backupBytes)
-	e.U32(uint32(len(b.backup)))
-	for _, m := range b.backup {
-		msg.EncodeSnapshot(e, m)
-	}
+	encodeFIFO(e, &b.backup)
 	b.upMail.SnapshotTo(e)
 
 	// Migration metadata and LB round state.
@@ -135,11 +137,27 @@ func (b *Level1) SnapshotTo(e *checkpoint.Enc) {
 func (b *Level1) PendingMsgs() int {
 	n := 0
 	for c := range b.scatter {
-		n += len(b.scatter[c])
+		n += b.scatter[c].Len()
 	}
-	n += len(b.backup)
+	n += b.backup.Len()
 	n += b.upMail.Len()
 	return n
+}
+
+// QueueBytes returns the recorded byte occupancy of the bridge's scatter,
+// backup and up-mail queues and their messages' wire size recomputed now,
+// for the auditor's byte-accounting check.
+func (b *Level1) QueueBytes() (recorded, recomputed uint64) {
+	recorded, recomputed = b.upMail.CheckBytes()
+	add := func(q *msg.FIFO) {
+		r, c := q.CheckBytes()
+		recorded, recomputed = recorded+r, recomputed+c
+	}
+	for c := range b.scatter {
+		add(&b.scatter[c])
+	}
+	add(&b.backup)
+	return recorded, recomputed
 }
 
 // RetransPending returns the number of unacked messages across all of the
@@ -183,11 +201,7 @@ func (l *Level2) SnapshotTo(e *checkpoint.Enc) {
 
 	e.U32(uint32(len(l.scatterQ)))
 	for r := range l.scatterQ {
-		e.U64(l.scatterBytes[r])
-		e.U32(uint32(len(l.scatterQ[r])))
-		for _, m := range l.scatterQ[r] {
-			msg.EncodeSnapshot(e, m)
-		}
+		encodeFIFO(e, &l.scatterQ[r])
 	}
 	e.U32(uint32(len(l.running)))
 	for _, r := range l.running {
@@ -258,9 +272,20 @@ func (l *Level2) SnapshotTo(e *checkpoint.Enc) {
 func (l *Level2) PendingMsgs() int {
 	n := 0
 	for r := range l.scatterQ {
-		n += len(l.scatterQ[r])
+		n += l.scatterQ[r].Len()
 	}
 	return n
+}
+
+// QueueBytes returns the recorded byte occupancy of the per-rank channel
+// queues and their messages' wire size recomputed now, for the auditor's
+// byte-accounting check.
+func (l *Level2) QueueBytes() (recorded, recomputed uint64) {
+	for r := range l.scatterQ {
+		rb, c := l.scatterQ[r].CheckBytes()
+		recorded, recomputed = recorded+rb, recomputed+c
+	}
+	return recorded, recomputed
 }
 
 // RetransPending returns the number of unacked messages across the level-2

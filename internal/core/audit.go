@@ -13,12 +13,14 @@ import (
 //   - Weak checks fire from the engine's audit hook every N cycles, at an
 //     arbitrary point between events: lifetime totals must balance the live
 //     accounting (tasks spawned = executed + outstanding; messages staged =
-//     delivered + in flight), and the retry-protocol sequence counters must
-//     never move backwards.
+//     delivered + in flight), every mailbox and bridge queue's byte total
+//     must equal its messages' recomputed wire sizes, and the retry-protocol
+//     sequence counters must never move backwards.
 //
 //   - Strong checks fire at every bulk-sync barrier, where the fabric is
 //     provably drained: no component may hold a residual message (mailboxes,
-//     staging buffers, scatter/backup queues, retransmit windows), the
+//     staging buffers, scatter/backup queues, retransmit windows) or residual
+//     queue bytes, the
 //     isLent / dataBorrowed metadata must agree, and the state encoders
 //     must be deterministic (two encodings, one digest) — the property the
 //     checkpoint digests stand on.
@@ -112,6 +114,8 @@ func (a *auditor) weak(now sim.Cycles) {
 		})
 	}
 
+	a.queueBytes()
+
 	// Retry sequence counters are append-only; a regression means a
 	// retransmit window or sender was mis-restored or double-allocated.
 	for i, u := range s.units {
@@ -150,10 +154,43 @@ func (a *auditor) weak(now sim.Cycles) {
 	}
 }
 
+// queueBytes checks that every mailbox's and bridge queue's running byte
+// total equals the wire sizes of its queued messages recomputed — budget
+// loops read the sizes recorded at push, so a drifted total or a message
+// whose size changed while queued would skew bus occupancy unnoticed.
+func (a *auditor) queueBytes() {
+	s := a.s
+	for i, u := range s.units {
+		if r, c := u.QueueBytes(); r != c {
+			a.queueBytesViolation(fmt.Sprintf("unit %d", i), r, c)
+		}
+	}
+	for i, b := range s.bridges {
+		if r, c := b.QueueBytes(); r != c {
+			a.queueBytesViolation(fmt.Sprintf("bridge %d", i), r, c)
+		}
+	}
+	if s.l2 != nil {
+		if r, c := s.l2.QueueBytes(); r != c {
+			a.queueBytesViolation("l2", r, c)
+		}
+	}
+}
+
+func (a *auditor) queueBytesViolation(where string, recorded, recomputed uint64) {
+	a.violate(audit.Violation{
+		Rule: "queue-bytes", Where: where,
+		Expected: recomputed, Actual: recorded,
+		Detail: "recorded queue bytes vs recomputed message sizes",
+	})
+}
+
 // strong runs the barrier checks, where the drained fabric makes exact
 // assertions possible.
 func (a *auditor) strong(completed uint32) {
 	s := a.s
+
+	a.queueBytes()
 
 	if s.inflight != 0 {
 		a.violate(audit.Violation{

@@ -9,6 +9,7 @@ import (
 	"ndpbridge/internal/audit"
 	"ndpbridge/internal/config"
 	"ndpbridge/internal/fault"
+	"ndpbridge/internal/msg"
 	"ndpbridge/internal/task"
 )
 
@@ -141,7 +142,7 @@ func TestAuditDetectsConservationBreach(t *testing.T) {
 // — through the same surfaces a real bug would use — and asserts the named
 // audit rule catches it. Together the rows cover every strong check
 // (barrier-residue, lent-borrowed, snapshot-determinism) and every weak
-// check (task-conservation, msg-conservation, seq-monotonic).
+// check (task-conservation, msg-conservation, queue-bytes, seq-monotonic).
 func TestAuditChecksFireOnCorruption(t *testing.T) {
 	cases := []struct {
 		name string
@@ -199,6 +200,18 @@ func TestAuditChecksFireOnCorruption(t *testing.T) {
 			rule: "msg-conservation",
 			corrupt: func(s *System) bool {
 				s.msgsStagedTotal += 5
+				return true
+			},
+		},
+		{
+			name: "message resized while queued",
+			rule: "queue-bytes",
+			corrupt: func(s *System) bool {
+				// Route a task into unit 0's scatter buffer, then grow it:
+				// the buffer's byte total no longer matches its contents.
+				m := msg.NewTask(-1, 0, task.Task{Addr: s.UnitBase(0) + 128})
+				s.bridges[0].AcceptFromUp(m)
+				m.Task.NArgs = 2
 				return true
 			},
 		},

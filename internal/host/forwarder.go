@@ -194,10 +194,8 @@ func (f *Forwarder) step(ch int) {
 		if u.MailboxUsed() == 0 {
 			continue
 		}
-		got, _ := u.DrainMailbox(cfg.Timing.HostBatchBytes)
-		for _, m := range got {
-			bytes += m.Size()
-		}
+		got, n := u.DrainMailbox(cfg.Timing.HostBatchBytes)
+		bytes += n
 		ms = append(ms, got...)
 	}
 	if len(ms) == 0 {

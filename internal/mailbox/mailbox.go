@@ -17,9 +17,7 @@ import (
 //ndplint:domain(perowner)
 type Mailbox struct {
 	capacity uint64
-	used     uint64
-	queue    []*msg.Message
-	head     int
+	q        msg.FIFO
 
 	// Accounting.
 	enqueued uint64
@@ -46,33 +44,33 @@ func New(capacity uint64) *Mailbox {
 func (mb *Mailbox) Capacity() uint64 { return mb.capacity }
 
 // Used returns the occupied bytes — the L_mailbox value of state messages.
-func (mb *Mailbox) Used() uint64 { return mb.used }
+func (mb *Mailbox) Used() uint64 { return mb.q.Bytes() }
 
 // Len returns the number of queued messages.
-func (mb *Mailbox) Len() int { return len(mb.queue) - mb.head }
+func (mb *Mailbox) Len() int { return mb.q.Len() }
 
 // Empty reports whether no messages are waiting.
-func (mb *Mailbox) Empty() bool { return mb.Len() == 0 }
+func (mb *Mailbox) Empty() bool { return mb.q.Len() == 0 }
 
 // CanFit reports whether a message of n wire bytes fits.
-func (mb *Mailbox) CanFit(n uint64) bool { return mb.used+n <= mb.capacity }
+func (mb *Mailbox) CanFit(n uint64) bool { return mb.q.Bytes()+n <= mb.capacity }
+
+// CheckBytes returns the recorded occupancy and the queued messages' wire
+// size recomputed now (see msg.FIFO.CheckBytes).
+func (mb *Mailbox) CheckBytes() (recorded, recomputed uint64) { return mb.q.CheckBytes() }
 
 // Enqueue appends m. It returns false (a stall) when the region is full, in
 // which case the unit controller must retry later (Section V-A).
 //
 //ndplint:hotpath
 func (mb *Mailbox) Enqueue(m *msg.Message) bool {
-	n := m.Size()
-	if !mb.CanFit(n) {
+	if !mb.CanFit(m.Size()) {
 		mb.stalls++
 		return false
 	}
-	mb.queue = append(mb.queue, m)
-	mb.used += n
+	mb.q.Push(m)
 	mb.enqueued++
-	if mb.used > mb.peakUsed {
-		mb.peakUsed = mb.used
-	}
+	mb.peakUsed = max(mb.peakUsed, mb.q.Bytes())
 	return true
 }
 
@@ -83,92 +81,51 @@ func (mb *Mailbox) Enqueue(m *msg.Message) bool {
 //
 //ndplint:hotpath
 func (mb *Mailbox) PushFront(m *msg.Message) bool {
-	n := m.Size()
-	if !mb.CanFit(n) {
+	if !mb.CanFit(m.Size()) {
 		mb.stalls++
 		return false
 	}
-	if mb.head > 0 {
-		mb.head--
-		mb.queue[mb.head] = m
-	} else {
-		mb.queue = append(mb.queue, nil)
-		copy(mb.queue[1:], mb.queue)
-		mb.queue[0] = m
-	}
-	mb.used += n
-	if mb.used > mb.peakUsed {
-		mb.peakUsed = mb.used
-	}
+	mb.q.PushFront(m)
+	mb.peakUsed = max(mb.peakUsed, mb.q.Bytes())
 	return true
-}
-
-// Peek returns the head message without removing it.
-//
-//ndplint:hotpath
-func (mb *Mailbox) Peek() (*msg.Message, bool) {
-	if mb.Len() == 0 {
-		return nil, false
-	}
-	return mb.queue[mb.head], true
 }
 
 // Dequeue removes and returns the head message.
 //
 //ndplint:hotpath
 func (mb *Mailbox) Dequeue() (*msg.Message, bool) {
-	if mb.Len() == 0 {
+	if mb.q.Len() == 0 {
 		return nil, false
 	}
-	m := mb.queue[mb.head]
-	mb.queue[mb.head] = nil
-	mb.head++
-	mb.used -= m.Size()
 	mb.dequeued++
-	if mb.head > 64 && mb.head*2 >= len(mb.queue) {
-		n := copy(mb.queue, mb.queue[mb.head:])
-		for i := n; i < len(mb.queue); i++ {
-			mb.queue[i] = nil
-		}
-		mb.queue = mb.queue[:n]
-		mb.head = 0
-	}
-	return m, true
+	return mb.q.Pop(), true
 }
 
-// DrainUpTo removes messages from the head whose combined wire size does not
-// exceed budget bytes. It always removes at least one message when the
-// mailbox is non-empty: the transfer granularity is a floor on bus
-// occupancy, not a cap on message size (and messages are ≤64 B ≤ G_xfer
-// anyway). This models one GATHER of G_xfer bytes.
+// Drain removes messages from the head whose combined wire size does not
+// exceed budget bytes, and returns them with their combined size. It always
+// removes at least one message when the mailbox is non-empty: the transfer
+// granularity is a floor on bus occupancy, not a cap on message size (and
+// messages are ≤64 B ≤ G_xfer anyway). This models one GATHER of G_xfer
+// bytes.
 //
-// The returned slice is only valid until the next DrainUpTo call on this
-// mailbox.
+// The returned slice is only valid until the next drain of this mailbox.
 //
 //ndplint:hotpath
-func (mb *Mailbox) DrainUpTo(budget uint64) []*msg.Message {
-	out := mb.drainBuf[:0]
-	var used uint64
-	for {
-		m, ok := mb.Peek()
-		if !ok {
-			break
-		}
-		if len(out) > 0 && used+m.Size() > budget {
-			break
-		}
-		mb.Dequeue()
-		out = append(out, m)
-		used += m.Size()
-		if used >= budget {
-			break
-		}
-	}
+func (mb *Mailbox) Drain(budget uint64) ([]*msg.Message, uint64) {
+	out, n := mb.q.DrainUpTo(mb.drainBuf[:0], budget)
 	mb.drainBuf = out
+	mb.dequeued += uint64(len(out))
 	if len(out) == 0 {
-		return nil
+		return nil, 0
 	}
-	return out
+	return out, n
+}
+
+// DrainUpTo is Drain without the byte count, for callers that need only the
+// messages.
+func (mb *Mailbox) DrainUpTo(budget uint64) []*msg.Message {
+	ms, _ := mb.Drain(budget)
+	return ms
 }
 
 // Stats returns cumulative enqueue/dequeue/stall counts and peak occupancy.

@@ -72,9 +72,9 @@ func TestMailboxDrainUpTo(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		mb.Enqueue(taskMsg(i))
 	}
-	got := mb.DrainUpTo(size*3 + 1)
-	if len(got) != 3 {
-		t.Fatalf("drained %d, want 3", len(got))
+	got, n := mb.Drain(size*3 + 1)
+	if len(got) != 3 || n != 3*size {
+		t.Fatalf("drained %d messages / %d B, want 3 / %d B", len(got), n, 3*size)
 	}
 	for i, m := range got {
 		if m.Task.Addr != uint64(i) {
@@ -186,14 +186,13 @@ func TestPushFront(t *testing.T) {
 	if !mb.PushFront(m1) {
 		t.Fatal("PushFront refused with space available")
 	}
-	if head, _ := mb.Peek(); head != m1 {
-		t.Fatal("PushFront did not restore head")
-	}
 	if mb.Len() != 2 {
 		t.Fatalf("len = %d, want 2", mb.Len())
 	}
+	if head, _ := mb.Dequeue(); head != m1 {
+		t.Fatal("PushFront did not restore head")
+	}
 	// Byte accounting must balance: drain everything.
-	mb.Dequeue()
 	mb.Dequeue()
 	if mb.Used() != 0 {
 		t.Fatalf("used = %d after full drain", mb.Used())

@@ -56,3 +56,20 @@ func TestMailboxSnapshotCapacityMismatch(t *testing.T) {
 		t.Fatal("capacity mismatch not rejected")
 	}
 }
+
+// TestMailboxSnapshotOccupancyMismatch: a snapshot whose encoded occupancy
+// disagrees with the summed wire size of its messages is rejected.
+func TestMailboxSnapshotOccupancyMismatch(t *testing.T) {
+	m := &msg.Message{Type: msg.TypeState, State: &msg.State{}}
+	var e checkpoint.Enc
+	e.U64(1 << 10)
+	e.U32(1)
+	msg.EncodeSnapshot(&e, m)
+	e.U64(m.Size() + 1) // occupancy off by one byte
+	for i := 0; i < 4; i++ {
+		e.U64(0)
+	}
+	if err := New(1 << 10).RestoreFrom(checkpoint.NewDec(e.Data())); err == nil {
+		t.Fatal("occupancy mismatch not rejected")
+	}
+}

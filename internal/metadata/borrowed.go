@@ -2,7 +2,7 @@ package metadata
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Borrowed is a set-associative, LRU-replaced table keyed by a block's
@@ -14,24 +14,38 @@ import (
 // All storage is allocated lazily: the tables are sized for the paper's
 // full-scale machine (64k entries per bridge) but mostly empty in small runs,
 // and per-system eager allocation (even of just per-set headers) dominated
-// end-to-end profiles. Only touched sets exist, held in a map from set index
-// to entry storage that itself grows one entry at a time up to ways. An
-// absent slot is indistinguishable from an invalid one: lookups never match
-// it, and Insert prefers the first invalid slot as victim — which for a
-// partially materialized set is exactly the append position — so victim
-// choice, slot numbering, and eviction order all match an eagerly-allocated
-// layout. Iteration (ForEach, snapshots) sorts the touched set indices, so
-// map ordering never leaks into simulation behavior.
+// end-to-end profiles. The first Insert allocates one small header per 64
+// sets (a setPage); a set's entry storage exists only once the set is
+// touched, and grows one entry at a time up to ways. A lookup on a
+// never-touched set reads one bitmap word and no entry storage. An absent
+// slot is indistinguishable from an invalid one: lookups never match it, and
+// Insert prefers the first invalid slot as victim — which for a partially
+// materialized set is exactly the append position — so victim choice, slot
+// numbering, and eviction order all match an eagerly-allocated layout.
+// Iteration (ForEach, snapshots) walks the pages and their bitmaps, which
+// visits sets in ascending order.
 //ndplint:domain(perowner)
 type Borrowed struct {
 	sets  int
 	ways  int
-	table map[uint32][]bentry // touched sets only, keyed by set index
+	pages []setPage // sets 64 at a time; nil until the first Insert
 	clock uint64
 	used  int
-	// keyScratch backs the sorted set-index traversal of ForEach and
-	// SnapshotTo so repeated snapshots (the auditor's) do not allocate.
-	keyScratch []uint32 //ndplint:nosnap scratch for deterministic iteration
+
+	// last is the entry the latest Lookup hit: about a third of lookups
+	// repeat the previous hit (a block's data sub-messages, consecutive
+	// tasks on one block). Insert and Remove, which may move or clear
+	// entries, reset it to nil.
+	last *bentry //ndplint:nosnap lookup cache; nil after restore
+}
+
+// setPage covers 64 consecutive sets. Bit j of touched is set once set j of
+// the page has held an entry, and sets holds the touched sets' storage in
+// ascending set order, so set j's storage is
+// sets[popcount(touched & (1<<j - 1))].
+type setPage struct {
+	touched uint64
+	sets    [][]bentry
 }
 
 type bentry struct {
@@ -73,48 +87,109 @@ func (b *Borrowed) setIndex(key uint64) uint32 {
 //
 //ndplint:hotpath
 func (b *Borrowed) Lookup(key uint64) (uint64, bool) {
-	if b.used == 0 {
-		return 0, false
-	}
-	set := b.table[b.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			b.clock++
-			set[i].lru = b.clock
-			return set[i].value, true
+	e := b.last
+	if e == nil || e.key != key {
+		if e = b.find(key); e == nil {
+			return 0, false
 		}
+		b.last = e
 	}
-	return 0, false
+	b.clock++
+	e.lru = b.clock
+	return e.value, true
 }
 
 // Contains reports presence without touching LRU state.
 //
 //ndplint:hotpath
-func (b *Borrowed) Contains(key uint64) bool {
-	if b.used == 0 {
-		return false
-	}
-	set := b.table[b.setIndex(key)]
+func (b *Borrowed) Contains(key uint64) bool { return b.find(key) != nil }
+
+// find returns key's entry, or nil.
+//
+//ndplint:hotpath
+func (b *Borrowed) find(key uint64) *bentry {
+	set := b.set(key)
 	for i := range set {
 		if set[i].valid && set[i].key == key {
-			return true
+			return &set[i]
 		}
 	}
-	return false
+	return nil
+}
+
+// page returns set si's page and bit.
+func (b *Borrowed) page(si uint32) (*setPage, uint64) {
+	return &b.pages[si/64], uint64(1) << (si % 64)
+}
+
+// setAt returns set si's storage, nil when the set was never touched.
+//
+//ndplint:hotpath
+func (b *Borrowed) setAt(si uint32) []bentry {
+	if b.pages == nil {
+		return nil
+	}
+	pg, bit := b.page(si)
+	if pg.touched&bit == 0 {
+		return nil
+	}
+	return pg.sets[bits.OnesCount64(pg.touched&(bit-1))]
+}
+
+// set returns key's set storage, nil when the set was never touched or the
+// table is empty.
+//
+//ndplint:hotpath
+func (b *Borrowed) set(key uint64) []bentry {
+	if b.used == 0 {
+		return nil
+	}
+	return b.setAt(b.setIndex(key))
+}
+
+// grow appends one invalid slot to set si, registering the set as touched
+// on its first slot, and returns the new slot.
+//
+//ndplint:hotpath
+func (b *Borrowed) grow(si uint32) *bentry {
+	if b.pages == nil {
+		b.pages = make([]setPage, (b.sets+63)/64) //ndplint:alloc once, on first insert
+	}
+	pg, bit := b.page(si)
+	k := bits.OnesCount64(pg.touched & (bit - 1))
+	if pg.touched&bit == 0 {
+		pg.touched |= bit
+		pg.sets = append(pg.sets, nil)
+		copy(pg.sets[k+1:], pg.sets[k:])
+		pg.sets[k] = nil
+	}
+	pg.sets[k] = append(pg.sets[k], bentry{}) //ndplint:alloc amortized set growth
+	set := pg.sets[k]
+	return &set[len(set)-1]
 }
 
 // slotAt returns set si's way-th entry, materializing storage up to it. Only
 // snapshot restore addresses slots directly; Insert grows sets itself.
 func (b *Borrowed) slotAt(si, way int) *bentry {
-	if b.table == nil {
-		b.table = make(map[uint32][]bentry, 8)
+	for {
+		if set := b.setAt(uint32(si)); len(set) > way {
+			return &set[way]
+		}
+		b.grow(uint32(si))
 	}
-	set := b.table[uint32(si)]
-	for len(set) <= way {
-		set = append(set, bentry{})
+}
+
+// eachSet calls fn with every touched set's index and storage, in ascending
+// set order.
+func (b *Borrowed) eachSet(fn func(si int, set []bentry)) {
+	for pi := range b.pages {
+		pg := &b.pages[pi]
+		t := pg.touched
+		for k := 0; t != 0; k++ {
+			fn(pi*64+bits.TrailingZeros64(t), pg.sets[k])
+			t &= t - 1
+		}
 	}
-	b.table[uint32(si)] = set
-	return &set[way]
 }
 
 // Insert adds or updates key→value. If the set is full, the LRU entry is
@@ -122,11 +197,9 @@ func (b *Borrowed) slotAt(si, way int) *bentry {
 //
 //ndplint:hotpath
 func (b *Borrowed) Insert(key, value uint64) (ev Eviction, evicted bool) {
+	b.last = nil
 	si := b.setIndex(key)
-	if b.table == nil {
-		b.table = make(map[uint32][]bentry, 8) //ndplint:alloc once, on first insert
-	}
-	set := b.table[si]
+	set := b.setAt(si)
 	b.clock++
 	var victim *bentry
 	for i := range set {
@@ -147,9 +220,7 @@ func (b *Borrowed) Insert(key, value uint64) (ev Eviction, evicted bool) {
 	if (victim == nil || victim.valid) && len(set) < b.ways {
 		// No stored invalid slot: the first unmaterialized one is the
 		// victim an eager layout would have chosen.
-		set = append(set, bentry{}) //ndplint:alloc amortized set growth
-		b.table[si] = set
-		victim = &set[len(set)-1]
+		victim = b.grow(si)
 	}
 	if victim.valid {
 		ev = Eviction{Key: victim.key, Value: victim.value}
@@ -165,18 +236,14 @@ func (b *Borrowed) Insert(key, value uint64) (ev Eviction, evicted bool) {
 //
 //ndplint:hotpath
 func (b *Borrowed) Remove(key uint64) bool {
-	if b.used == 0 {
+	e := b.find(key)
+	if e == nil {
 		return false
 	}
-	set := b.table[b.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i] = bentry{}
-			b.used--
-			return true
-		}
-	}
-	return false
+	b.last = nil
+	*e = bentry{}
+	b.used--
+	return true
 }
 
 // Len returns the number of valid entries.
@@ -185,31 +252,16 @@ func (b *Borrowed) Len() int { return b.used }
 // Capacity returns the total entry count.
 func (b *Borrowed) Capacity() int { return b.sets * b.ways }
 
-// sortedSets returns the touched set indices in ascending order, reusing the
-// scratch buffer. Iteration must never follow raw map order: ForEach feeds
-// eviction victim choice and SnapshotTo feeds digests, both of which have to
-// be identical across runs.
-func (b *Borrowed) sortedSets() []uint32 {
-	ks := b.keyScratch[:0]
-	for k := range b.table {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	b.keyScratch = ks
-	return ks
-}
-
 // ForEach visits every valid entry in ascending (set, way) order.
 func (b *Borrowed) ForEach(fn func(key, value uint64)) {
 	if b.used == 0 {
 		return
 	}
-	for _, k := range b.sortedSets() {
-		set := b.table[k]
+	b.eachSet(func(_ int, set []bentry) {
 		for i := range set {
 			if set[i].valid {
 				fn(set[i].key, set[i].value)
 			}
 		}
-	}
+	})
 }

@@ -96,17 +96,16 @@ func (b *Borrowed) SnapshotTo(e *checkpoint.Enc) {
 	if b.used == 0 {
 		return
 	}
-	for _, s := range b.sortedSets() {
-		set := b.table[s]
+	b.eachSet(func(si int, set []bentry) {
 		for i := range set {
 			if set[i].valid {
-				e.U32(uint32(int(s)*b.ways + i))
+				e.U32(uint32(si*b.ways + i))
 				e.U64(set[i].key)
 				e.U64(set[i].value)
 				e.U64(set[i].lru)
 			}
 		}
-	}
+	})
 }
 
 // RestoreFrom rebuilds the table from a SnapshotTo stream. The geometry
@@ -119,6 +118,7 @@ func (b *Borrowed) RestoreFrom(d *checkpoint.Dec) error {
 		return fmt.Errorf("metadata: borrowed snapshot geometry %d×%d does not match %d×%d", sets, ways, b.sets, b.ways)
 	}
 	b.clock = d.U64()
+	b.last = nil
 	n := int(d.U32())
 	if d.Err() != nil {
 		return d.Err()
@@ -126,8 +126,10 @@ func (b *Borrowed) RestoreFrom(d *checkpoint.Dec) error {
 	if n > b.sets*b.ways {
 		return fmt.Errorf("metadata: borrowed snapshot has %d entries for a %d-slot table", n, b.sets*b.ways)
 	}
-	for _, set := range b.table {
-		clear(set)
+	for i := range b.pages {
+		for _, set := range b.pages[i].sets {
+			clear(set)
+		}
 	}
 	for k := 0; k < n; k++ {
 		slot := int(d.U32())

@@ -232,15 +232,6 @@ func SplitData(src, dst int, blockAddr uint64, n uint32) []*Message {
 	return out
 }
 
-// TotalSize sums the wire sizes of a message slice.
-func TotalSize(ms []*Message) uint64 {
-	var s uint64
-	for _, m := range ms {
-		s += m.Size()
-	}
-	return s
-}
-
 // StateSize returns the wire size of a state message including its appended
 // scheduling list (each entry: addr 8 + workload 8).
 func StateSize(s *State) uint64 {

@@ -175,6 +175,18 @@ func (u *Unit) PendingMsgs() int {
 	return n
 }
 
+// QueueBytes returns the recorded byte occupancy of the unit's mailbox(es)
+// and their queued messages' wire size recomputed now, for the auditor's
+// byte-accounting check.
+func (u *Unit) QueueBytes() (recorded, recomputed uint64) {
+	recorded, recomputed = u.mb.CheckBytes()
+	if u.chipMail != nil {
+		r, c := u.chipMail.CheckBytes()
+		recorded, recomputed = recorded+r, recomputed+c
+	}
+	return recorded, recomputed
+}
+
 // QueuedTasks returns the number of tasks waiting in the unit's task queue.
 func (u *Unit) QueuedTasks() int { return u.queue.Len() }
 

@@ -87,7 +87,7 @@ type Unit struct {
 
 	bank  *dram.Bank
 	cache *Cache
-	queue *task.Queue
+	queue task.Queue // by value: idle checks read it on every bus round
 	mb    *mailbox.Mailbox
 	// chipMail holds same-chip messages in design R, where RowClone
 	// serves intra-chip transfers and only cross-chip traffic goes
@@ -208,7 +208,6 @@ func New(id int, env Env, rng *sim.RNG) *Unit {
 		cfg:   cfg,
 		bank:  dram.NewBank(cfg.Timing),
 		cache: NewCache(64<<10, 4, 64),
-		queue: task.NewQueue(),
 		mb:    mailbox.New(cfg.Buffers.MailboxBytes),
 		rng:   rng,
 	}
@@ -558,13 +557,14 @@ func (u *Unit) ChipMailUsed() uint64 {
 	return u.chipMail.Used()
 }
 
-// DrainChipMail removes up to budget bytes of same-chip messages; the
-// RowClone engine transfers them within the chip.
-func (u *Unit) DrainChipMail(budget uint64) []*msg.Message {
+// DrainChipMail removes up to budget bytes of same-chip messages and returns
+// them with their combined wire size; the RowClone engine transfers them
+// within the chip.
+func (u *Unit) DrainChipMail(budget uint64) ([]*msg.Message, uint64) {
 	if u.chipMail == nil {
-		return nil
+		return nil, 0
 	}
-	ms := u.chipMail.DrainUpTo(budget)
+	ms, n := u.chipMail.Drain(budget)
 	if len(ms) > 0 {
 		if rec := u.env.Trace(); rec.FlowsEnabled() {
 			now := u.eng.Now()
@@ -576,12 +576,12 @@ func (u *Unit) DrainChipMail(budget uint64) []*msg.Message {
 			}
 		}
 		epj := u.cfg.Energy.DRAMAccessPJPer64b
-		u.bank.Access(u.eng.Now(), u.mailboxOff, msg.TotalSize(ms), false, dram.AccessComm, epj)
+		u.bank.Access(u.eng.Now(), u.mailboxOff, n, false, dram.AccessComm, epj)
 		if len(u.staged) > 0 && u.flushStaged() {
 			u.tryStart()
 		}
 	}
-	return ms
+	return ms, n
 }
 
 // --- Fabric-facing entry points (GATHER / SCATTER / STATE-GATHER / SCHEDULE) ---
@@ -591,26 +591,26 @@ func (u *Unit) MailboxUsed() uint64 { return u.mb.Used() }
 
 // DrainMailbox serves a GATHER command: it removes up to budget bytes of
 // messages from the mailbox head, charging the bank read, and returns the
-// messages with the bank-side completion time. After a drain, staged
+// messages with their combined wire size. After a drain, staged
 // messages get another chance to enter the mailbox and the core resumes if
 // it was stalled.
 //ndplint:seam DDR command surface: gather drain, the bridge pulls staged messages here
-func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, sim.Cycles) {
+func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, uint64) {
 	now := u.eng.Now()
 	if u.ft != nil {
 		if u.ft.dead {
-			return nil, now
+			return nil, 0
 		}
 		if u.ft.gatherRet != nil && u.ft.gatherRet.Full() {
 			// Retransmit-buffer watermark: refuse the drain so the
 			// bridge's backpressure reaches the mailbox.
 			u.env.Trace().Span(0, 0, trace.SpanBlocked, trace.CatRetry, u.id, now, now)
-			return nil, now
+			return nil, 0
 		}
 	}
-	ms := u.mb.DrainUpTo(budget)
+	ms, n := u.mb.Drain(budget)
 	if len(ms) == 0 {
-		return nil, now
+		return nil, 0
 	}
 	if rec := u.env.Trace(); rec.FlowsEnabled() {
 		// One mailbox-wait span per message: staged → picked up by this
@@ -634,13 +634,13 @@ func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, sim.Cycles) {
 		}
 	}
 	epj := u.cfg.Energy.DRAMAccessPJPer64b
-	done := u.bank.Access(now, u.mailboxOff, msg.TotalSize(ms), false, dram.AccessComm, epj)
+	u.bank.Access(now, u.mailboxOff, n, false, dram.AccessComm, epj)
 	if len(u.staged) > 0 {
 		if u.flushStaged() {
 			u.tryStart()
 		}
 	}
-	return ms, done
+	return ms, n
 }
 
 // LastBounce returns the most recently bounced task address and the total
@@ -838,10 +838,10 @@ func (u *Unit) receiveData(m *msg.Message) {
 			// A block returning to an adopted (re-homed) range lands
 			// at the buddy: the isLent bit at that offset belongs to
 			// the buddy's own block, so only the raw home clears it.
+			// The return was counted at the borrower when it evicted
+			// the block (returnBlock); the home only clears its bit.
 			if u.ft == nil || u.env.Map().HomeRaw(m.BlockAddr) == u.id {
-				if u.isLent.SetLent(off, false) {
-					u.st.Returns++
-				}
+				u.isLent.SetLent(off, false)
 			}
 			u.tryStart() // queued tasks for this block may now run
 		}

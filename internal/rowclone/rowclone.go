@@ -118,11 +118,7 @@ func (e *Engine) step(chip int) {
 		e.running[chip] = false
 		return
 	}
-	ms := e.chips[chip][src].DrainChipMail(cfg.Timing.BankRowBytes)
-	var bytes uint64
-	for _, m := range ms {
-		bytes += m.Size()
-	}
+	ms, bytes := e.chips[chip][src].DrainChipMail(cfg.Timing.BankRowBytes)
 	end := eng.Now() + cfg.Timing.RowCloneCopy
 	e.st.Copies++
 	e.st.Messages += uint64(len(ms))

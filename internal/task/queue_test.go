@@ -3,6 +3,8 @@ package task
 import (
 	"testing"
 	"testing/quick"
+
+	"ndpbridge/internal/checkpoint"
 )
 
 func TestQueueFIFOWithinEpoch(t *testing.T) {
@@ -199,5 +201,98 @@ func TestQueueDrainAll(t *testing.T) {
 	}
 	if q.Len() != 0 || q.TotalWorkload() != 0 {
 		t.Fatal("queue not empty after DrainAll")
+	}
+}
+
+// TestQueueOutOfOrderEpochs pushes epochs 5, 3, 4 interleaved and checks
+// that every multi-epoch view — DrainAll, the snapshot stream and PopTail —
+// sees epochs in ascending order with FIFO order inside each, including
+// after an epoch empties and refills.
+func TestQueueOutOfOrderEpochs(t *testing.T) {
+	fill := func() *Queue {
+		q := NewQueue()
+		for i, ts := range []uint32{5, 3, 4, 5, 3, 4} {
+			q.Push(New(0, ts, uint64(ts)<<8|uint64(i), 1))
+		}
+		return q
+	}
+	want := []uint64{3<<8 | 1, 3<<8 | 4, 4<<8 | 2, 4<<8 | 5, 5<<8 | 0, 5<<8 | 3}
+	check := func(name string, got []Task) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tasks, want %d", name, len(got), len(want))
+		}
+		for i, tk := range got {
+			if tk.Addr != want[i] {
+				t.Fatalf("%s: task %d is %#x, want %#x", name, i, tk.Addr, want[i])
+			}
+		}
+	}
+
+	check("DrainAll", fill().DrainAll())
+
+	// The snapshot lists epochs in ascending order, and a restored queue
+	// drains identically.
+	q := fill()
+	var e checkpoint.Enc
+	q.SnapshotTo(&e)
+	d := checkpoint.NewDec(e.Data())
+	if n := d.U32(); n != 3 {
+		t.Fatalf("snapshot holds %d epochs, want 3", n)
+	}
+	for _, ts := range []uint32{3, 4, 5} {
+		if got := d.U32(); got != ts {
+			t.Fatalf("snapshot epoch %d, want %d", got, ts)
+		}
+		cnt := d.U32()
+		for j := uint32(0); j < cnt; j++ {
+			DecodeTask(d)
+		}
+	}
+	r := NewQueue()
+	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
+		t.Fatal(err)
+	}
+	check("restored DrainAll", r.DrainAll())
+
+	// PopTail takes the newest task of the named epoch only.
+	q = fill()
+	if tk, ok := q.PopTail(4); !ok || tk.Addr != 4<<8|5 {
+		t.Fatalf("PopTail(4) = %#x, %v", tk.Addr, ok)
+	}
+	if tk, ok := q.PopTail(4); !ok || tk.Addr != 4<<8|2 {
+		t.Fatalf("second PopTail(4) = %#x, %v", tk.Addr, ok)
+	}
+	if _, ok := q.PopTail(4); ok || q.LenEpoch(4) != 0 {
+		t.Fatal("epoch 4 not empty after two PopTails")
+	}
+	// An emptied epoch is not encoded, and a later push refills it in
+	// place, between epochs 3 and 5.
+	e = checkpoint.Enc{}
+	q.SnapshotTo(&e)
+	if n := checkpoint.NewDec(e.Data()).U32(); n != 2 {
+		t.Fatalf("snapshot holds %d epochs after epoch 4 emptied, want 2", n)
+	}
+	q.Push(New(0, 4, 4<<8|9, 1))
+	want = []uint64{3<<8 | 1, 3<<8 | 4, 4<<8 | 9, 5<<8 | 0, 5<<8 | 3}
+	check("DrainAll after reuse", q.DrainAll())
+}
+
+// TestQueuePrunesEmptyEpochs: epochs that empty stay live until a new epoch
+// arrives, which prunes them, so the live list stays as short as the set of
+// epochs holding tasks.
+func TestQueuePrunesEmptyEpochs(t *testing.T) {
+	q := NewQueue()
+	for ts := uint32(0); ts < 100; ts++ {
+		q.Push(New(0, ts, uint64(ts), 1))
+		if _, ok := q.Pop(ts); !ok {
+			t.Fatalf("epoch %d: pop failed", ts)
+		}
+		if len(q.live) > 1 {
+			t.Fatalf("epoch %d: %d FIFOs live, want at most 1", ts, len(q.live))
+		}
+	}
+	if q.Len() != 0 || q.DrainAll() != nil {
+		t.Fatal("queue not empty")
 	}
 }
