@@ -124,7 +124,6 @@ func main() {
 		pprofMem  = flag.String("pprof-mem", "", "write a heap profile at the end of the run to this file")
 		progress  = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
 		ckptDir   = flag.String("ckpt-dir", "", "persist every completed simulation to this directory so a rerun resumes instead of recomputing")
-		resumeDir = flag.String("resume-dir", "", "alias for -ckpt-dir, for resuming a killed campaign")
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor inside every simulation; violations fail the experiment")
 		compare   = flag.Bool("compare", false, "benchdiff mode: ndpbench -compare old.json new.json prints per-experiment events/sec deltas and exits 1 on regression beyond -compare-threshold")
 		compareTh = flag.Float64("compare-threshold", defaultRegressionThreshold, "relative events/sec drop treated as a regression by -compare (0.10 = 10%)")
@@ -146,9 +145,6 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 	experiments.SetJobs(*jobsN)
-	if *resumeDir != "" {
-		*ckptDir = *resumeDir
-	}
 	if *ckptDir != "" {
 		experiments.SetCheckpointDir(*ckptDir)
 	}

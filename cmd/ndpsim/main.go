@@ -50,11 +50,10 @@ func main() {
 		split    = flag.Bool("splitdb", false, "model split DIMM buffers (chameleon-s)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		verbose  = flag.Bool("v", false, "print per-component detail")
-		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace JSON to this file")
-		flowOut  = flag.String("flowtrace", "", "write a Chrome/Perfetto trace with causal flow arrows to this file")
+		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace JSON (causal spans, flow arrows, marks) to this file")
 		critOn   = flag.Bool("critpath", false, "print the critical-path attribution report")
 		critOut  = flag.String("critpath-json", "", "write the critical-path report JSON to this file")
-		traceCap = flag.Int("trace-cap", 0, "max retained trace events and causal spans (0 = default 2M each)")
+		traceCap = flag.Int("trace-cap", 0, "max retained causal spans and marks (0 = default 2M each)")
 		heatmap  = flag.Bool("heatmap", false, "print a per-unit utilization heatmap")
 		metOut   = flag.String("metrics", "", "write instrument metrics (counters, histograms, sampled series) JSON to this file")
 		progress = flag.Bool("progress", false, "print a progress heartbeat to stderr while simulating")
@@ -223,12 +222,8 @@ func main() {
 		}()
 	}
 	var rec *trace.Recorder
-	flows := *flowOut != "" || *critOn || *critOut != ""
-	if *traceOut != "" || *heatmap || flows {
+	if *traceOut != "" || *heatmap || *critOn || *critOut != "" {
 		rec = trace.New(*traceCap)
-		if flows {
-			rec.EnableFlows(*traceCap)
-		}
 		sys.AttachTrace(rec)
 	}
 	var reg *metrics.Registry
@@ -257,11 +252,8 @@ func main() {
 	if rec != nil {
 		// Dropped counts surface capped traces: a report built from a
 		// truncated recording should say so, not pass as complete.
-		fmt.Printf("trace: %d events retained (%d dropped)", rec.Len(), rec.Dropped())
-		if rec.FlowsEnabled() {
-			fmt.Printf(", %d spans retained (%d dropped)", rec.SpanCount(), rec.DroppedSpans())
-		}
-		fmt.Println()
+		fmt.Printf("trace: %d spans retained (%d dropped), %d marks retained (%d dropped)\n",
+			rec.SpanCount(), rec.DroppedSpans(), len(rec.Marks()), rec.DroppedMarks())
 	}
 	if *verbose {
 		printDetail(r)
@@ -276,13 +268,7 @@ func main() {
 		var buf bytes.Buffer
 		fatalIf(rec.ChromeTrace(&buf))
 		fatalIf(checkpoint.WriteFileAtomic(*traceOut, buf.Bytes()))
-		fmt.Printf("wrote %d trace events to %s\n", rec.Len(), *traceOut)
-	}
-	if *flowOut != "" {
-		var buf bytes.Buffer
-		fatalIf(rec.FlowTrace(&buf))
-		fatalIf(checkpoint.WriteFileAtomic(*flowOut, buf.Bytes()))
-		fmt.Printf("wrote %d trace events and %d causal spans to %s\n", rec.Len(), rec.SpanCount(), *flowOut)
+		fmt.Printf("wrote %d causal spans and %d marks to %s\n", rec.SpanCount(), len(rec.Marks()), *traceOut)
 	}
 	if *critOn || *critOut != "" {
 		rep := rec.CritPath(r.Makespan)

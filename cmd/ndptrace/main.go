@@ -1,13 +1,14 @@
 // Command ndptrace validates and summarizes the trace artifacts ndpsim
 // writes. It is the CI smoke hook for the causal-tracing pipeline:
 //
-//	ndpsim -app tree -design O -small -flowtrace flow.json -critpath-json crit.json
-//	ndptrace -check flow.json      # structural validation of the flow trace
+//	ndpsim -app tree -design O -small -trace trace.json -critpath-json crit.json
+//	ndptrace -check trace.json     # structural validation of the trace
 //	ndptrace -critcheck crit.json  # attribution sums to the epoch makespan
 //
 // -check verifies the file parses as a Chrome/Perfetto JSON array, every
 // span's parent exists and was recorded before it, no event has a negative
-// duration or timestamp, and every flow arrow references a recorded span.
+// duration or timestamp, every flow arrow references a recorded span, and
+// the leading metadata record's span and mark counts match the file.
 // -critcheck verifies each epoch's category attribution sums exactly to the
 // epoch's length and the totals row to the sum of epochs. Both print a short
 // summary on success and exit 1 with a diagnostic on the first violation.
@@ -24,12 +25,12 @@ import (
 
 func main() {
 	var (
-		check     = flag.String("check", "", "validate a -flowtrace JSON file")
+		check     = flag.String("check", "", "validate an ndpsim -trace JSON file")
 		critcheck = flag.String("critcheck", "", "validate a -critpath-json report file")
 	)
 	flag.Parse()
 	if *check == "" && *critcheck == "" {
-		fmt.Fprintln(os.Stderr, "usage: ndptrace -check flow.json | -critcheck crit.json")
+		fmt.Fprintln(os.Stderr, "usage: ndptrace -check trace.json | -critcheck crit.json")
 		os.Exit(2)
 	}
 	if *check != "" {
@@ -62,10 +63,8 @@ type traceEvent struct {
 		Parent uint32 `json:"parent"`
 		Flow   uint64 `json:"flow"`
 
-		Retained     *int64 `json:"retained"`
-		Dropped      *int64 `json:"dropped"`
-		Spans        *int64 `json:"spans"`
-		SpansDropped *int64 `json:"spans_dropped"`
+		Spans *int64 `json:"spans"`
+		Marks *int64 `json:"marks"`
 	} `json:"args"`
 }
 
@@ -84,7 +83,7 @@ func checkFlowTrace(path string) error {
 	meta := events[0]
 
 	spans := map[uint32]traceEvent{}
-	intervals, arrows := 0, 0
+	marks, arrows := 0, 0
 	for i, ev := range events[1:] {
 		if ev.TS < 0 {
 			return fmt.Errorf("event %d (%q): negative timestamp %d", i+1, ev.Name, ev.TS)
@@ -103,7 +102,7 @@ func checkFlowTrace(path string) error {
 			}
 			spans[id] = ev
 		case ev.Ph == "X":
-			intervals++
+			marks++
 		case ev.Ph == "s" || ev.Ph == "f":
 			arrows++
 		}
@@ -133,11 +132,17 @@ func checkFlowTrace(path string) error {
 			return fmt.Errorf("event %d: flow arrow references unknown span %d", i+1, ev.ID)
 		}
 	}
-	if meta.Args.Spans != nil && int(*meta.Args.Spans) != len(spans) {
+	if meta.Args.Spans == nil || meta.Args.Marks == nil {
+		return fmt.Errorf("metadata record lacks span or mark counts")
+	}
+	if int(*meta.Args.Spans) != len(spans) {
 		return fmt.Errorf("metadata claims %d spans, file holds %d", *meta.Args.Spans, len(spans))
 	}
-	fmt.Printf("%s: ok — %d interval events, %d spans, %d flow arrows\n",
-		path, intervals, len(spans), arrows/2)
+	if int(*meta.Args.Marks) != marks {
+		return fmt.Errorf("metadata claims %d marks, file holds %d", *meta.Args.Marks, marks)
+	}
+	fmt.Printf("%s: ok — %d spans, %d marks, %d flow arrows\n",
+		path, len(spans), marks, arrows/2)
 	return nil
 }
 

@@ -371,7 +371,7 @@ func (l *Level2) commitUp(r int, m *msg.Message) {
 		}
 		m.Seq, m.Sum = 0, 0
 	}
-	if rec := l.env.Trace(); rec.FlowsEnabled() {
+	if rec := l.env.Trace(); rec != nil {
 		// Up-channel leg: level-1 drain → level-2 commit (channel batch).
 		now := l.eng.Now()
 		cat := trace.CatHostRT

@@ -25,7 +25,7 @@ type Env interface {
 	Engine() *sim.Engine
 	Cfg() *config.Config
 	Map() *dram.AddrMap
-	// Trace returns the activity recorder, or nil when tracing is off.
+	// Trace returns the span recorder, or nil when tracing is off.
 	Trace() *trace.Recorder
 }
 
@@ -105,7 +105,6 @@ type Level1 struct {
 	mScatter  *metrics.Histogram // bytes moved per non-empty scatter round
 	mLBBudget *metrics.Histogram // workload budget per SCHEDULE command
 	mWQueue   *metrics.Histogram // per-child W_queue at each LB round
-	cLB       *metrics.Counter
 	cWasted   *metrics.Counter
 }
 
@@ -118,7 +117,6 @@ func (b *Level1) BindMetrics(reg *metrics.Registry) {
 	b.mScatter = reg.Histogram("scatter_batch_bytes")
 	b.mLBBudget = reg.Histogram("lb_budget_workload")
 	b.mWQueue = reg.Histogram("lb_child_wqueue")
-	b.cLB = reg.Counter("lb_rounds")
 	b.cWasted = reg.Counter("wasted_gathers")
 }
 
@@ -291,11 +289,10 @@ func (b *Level1) loadBalance(states []msg.State) {
 	}
 	for _, c := range cmds {
 		b.st.LBRounds++
-		b.cLB.Inc()
 		b.mLBBudget.Observe(c.Budget)
 		round := b.newRound()
 		b.assign[schedKey{c.Giver, round}] = &assignState{receivers: c.Receivers, blockTo: make(map[uint64]int)}
-		b.env.Trace().Record(trace.KindLB, c.Giver, now, now, "schedule")
+		b.env.Trace().Mark(trace.MarkLB, c.Giver, 1, now, now)
 		b.children[b.localIndex(c.Giver)].CommandSchedule(c.Budget, round)
 	}
 	b.ensureLoop()
@@ -610,7 +607,7 @@ func (b *Level1) pickScatterChild(chip int) int {
 
 func (b *Level1) deliverToChild(idx int, m *msg.Message) {
 	u := b.children[idx]
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
+	if rec := b.env.Trace(); rec != nil {
 		// Scatter-buffer wait: from the hop that routed the message here
 		// (gather pickup or down-channel commit) to this scatter slot.
 		now := b.eng.Now()
@@ -766,7 +763,7 @@ func (b *Level1) acceptDown(m *msg.Message) {
 		}
 		m.Seq, m.Sum = 0, 0
 	}
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
+	if rec := b.env.Trace(); rec != nil {
 		// Down-channel leg: level-2 scatter queue + channel batch transit.
 		now := b.eng.Now()
 		cat := trace.CatHostRT
@@ -934,7 +931,7 @@ func (b *Level1) DrainUp(budget uint64) ([]*msg.Message, uint64) {
 	if len(ms) > 0 {
 		b.reinjectBackup()
 	}
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
+	if rec := b.env.Trace(); rec != nil {
 		// Up-mailbox wait: routed into upMail → picked up by a level-2
 		// channel batch.
 		now := b.eng.Now()

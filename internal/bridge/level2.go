@@ -58,7 +58,6 @@ type Level2 struct {
 	// Instruments, bound by BindMetrics; nil no-ops when metrics are off.
 	mBatch    *metrics.Histogram // bytes per channel batch (scatter + gather)
 	mLBBudget *metrics.Histogram // workload budget per cross-rank SCHEDULE
-	cLB       *metrics.Counter
 }
 
 // BindMetrics attaches the level-2 bridge's instruments to reg.
@@ -66,7 +65,6 @@ type Level2 struct {
 func (l *Level2) BindMetrics(reg *metrics.Registry) {
 	l.mBatch = reg.Histogram("l2_batch_bytes")
 	l.mLBBudget = reg.Histogram("l2_lb_budget_workload")
-	l.cLB = reg.Counter("l2_lb_rounds")
 }
 
 // Stats2 holds level-2 counters.
@@ -211,12 +209,11 @@ func (l *Level2) crossRankBalance() {
 	now := uint64(l.eng.Now())
 	for _, c := range cmds {
 		l.st.LBRounds++
-		l.cLB.Inc()
 		l.mLBBudget.Observe(c.Budget)
 		round := l.newRound()
 		l.assign[schedKey{c.Giver, round}] = &assignState{receivers: c.Receivers, blockTo: make(map[uint64]int)}
 		// Track is the giver rank: cross-rank rounds have no single unit.
-		l.env.Trace().Record(trace.KindLB, c.Giver, now, now, "l2-schedule")
+		l.env.Trace().Mark(trace.MarkLB, c.Giver, 2, now, now)
 		l.bridges[c.Giver].CommandScheduleRank(c.Budget, round)
 	}
 }

@@ -82,7 +82,7 @@ func (s *System) scheduleFaults() {
 		s.eng.At(ev.At, func() {
 			s.inj.CountOverflow()
 			now := uint64(s.eng.Now())
-			s.rec.Record(trace.KindFault, -1, now, now+uint64(ev.Cycles), fmt.Sprintf("overflow rank %d", ev.Rank))
+			s.rec.Mark(trace.MarkOverflow, -1, uint32(ev.Rank), now, now+uint64(ev.Cycles))
 			b := s.bridges[ev.Rank]
 			b.InjectOverflow(ev.Bytes)
 			s.eng.After(ev.Cycles, func() { b.ClearOverflow(ev.Bytes) })
@@ -117,7 +117,7 @@ func (s *System) stallUnit(id int, d sim.Cycles) {
 	}
 	s.inj.CountStall()
 	now := uint64(s.eng.Now())
-	s.rec.Record(trace.KindFault, id, now, now+uint64(d), "stall")
+	s.rec.Mark(trace.MarkStall, id, 0, now, now+uint64(d))
 	u.Stall(s.eng.Now() + d)
 	u.Kick() // arm the wake-up even if the unit is idle right now
 }
@@ -132,7 +132,7 @@ func (s *System) killUnit(id int) {
 	}
 	s.inj.CountKill()
 	now := uint64(s.eng.Now())
-	s.rec.Record(trace.KindFault, id, now, now, "kill")
+	s.rec.Mark(trace.MarkKill, id, 0, now, now)
 
 	rem := u.Extinguish()
 

@@ -271,7 +271,6 @@ func (s *System) servingAdvance() {
 	s.mEpoch.Observe(now - s.epochStart)
 	s.epochStart = now
 	next := s.epoch + 1
-	s.rec.Record(trace.KindEpoch, -1, uint64(now), uint64(now), fmt.Sprintf("epoch %d", next))
-	s.rec.EpochMark(next, uint64(now))
+	s.rec.Mark(trace.MarkEpoch, -1, next, uint64(now), uint64(now))
 	s.epoch = next
 }

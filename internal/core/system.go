@@ -266,8 +266,7 @@ func (s *System) checkAdvance() {
 		s.eng.Stop()
 		return
 	}
-	s.rec.Record(trace.KindEpoch, -1, uint64(s.eng.Now()), uint64(s.eng.Now()), fmt.Sprintf("epoch %d", next))
-	s.rec.EpochMark(next, uint64(s.eng.Now()))
+	s.rec.Mark(trace.MarkEpoch, -1, next, uint64(s.eng.Now()), uint64(s.eng.Now()))
 	s.epoch = next
 	// Barrier broadcast: a small fixed cost before units resume.
 	s.eng.After(16, s.kickAll)
@@ -330,11 +329,13 @@ func (s *System) MaxEvents() uint64 { return s.maxEvents }
 // completion cycle — a profiling hook for tests and tools.
 func (s *System) SetTaskTrace(fn func(now uint64)) { s.taskTrace = fn }
 
-// AttachTrace installs an activity recorder. Attach before Run. If a metrics
-// registry is already attached, the recorder's per-category wait histograms
-// bind to it (and vice versa in AttachMetrics — attachment order is free).
+// AttachTrace installs a span recorder and hands it the task registry that
+// names exec spans. Attach before Run. If a metrics registry is already
+// attached, the recorder's per-category wait histograms bind to it (and vice
+// versa in AttachMetrics — attachment order is free).
 func (s *System) AttachTrace(r *trace.Recorder) {
 	s.rec = r
+	r.NameFuncs(s.reg)
 	if s.met != nil {
 		r.BindMetrics(s.met)
 	}
@@ -470,8 +471,7 @@ func (s *System) Run(app App) (*stats.Result, error) {
 	s.ran = true
 	// The first epoch starts at the clock edge; later boundaries come from
 	// checkAdvance.
-	s.rec.Record(trace.KindEpoch, -1, s.eng.Now(), s.eng.Now(), "epoch 0")
-	s.rec.EpochMark(0, s.eng.Now())
+	s.rec.Mark(trace.MarkEpoch, -1, 0, s.eng.Now(), s.eng.Now())
 	s.epochStart = s.eng.Now()
 	s.met.StartSampler(s.eng, s.cfg.IState)
 
@@ -624,6 +624,7 @@ func (s *System) collect(appName string) *stats.Result {
 		return r
 	}
 
+	var bounces, stalls uint64
 	for _, u := range s.units {
 		us := u.Stats()
 		r.Units = append(r.Units, us)
@@ -635,7 +636,15 @@ func (s *System) collect(appName string) *stats.Result {
 		r.MsgsDelivered += us.MsgsIn
 		r.BlocksMigrated += us.Borrowed
 		r.BlocksReturned += us.Returns
+		bounces += us.Bounces
+		stalls += us.Stalls
 	}
+	// The registry counters that mirror stats fields are set once, here,
+	// from those fields (fault_* follow the same pattern in faultResult).
+	s.met.Counter("bounces").Add(bounces)
+	s.met.Counter("mailbox_stalls").Add(stalls)
+	s.met.Counter("blocks_borrowed").Add(r.BlocksMigrated)
+	s.met.Counter("blocks_returned").Add(r.BlocksReturned)
 	for _, b := range s.bridges {
 		bs := b.Stats()
 		r.IntraRankBytes += bs.BusBytes
@@ -645,6 +654,8 @@ func (s *System) collect(appName string) *stats.Result {
 	}
 	if s.l2 != nil {
 		ls := s.l2.Stats()
+		s.met.Counter("lb_rounds").Add(r.LBRounds) // level-1 rounds only, so far
+		s.met.Counter("l2_lb_rounds").Add(ls.LBRounds)
 		r.CrossRankBytes += ls.CrossRankBytes
 		r.LBRounds += ls.LBRounds
 		for _, l := range s.l2.Links() {

@@ -10,7 +10,7 @@ import (
 )
 
 // Flow-trace collection across the worker pool, mirroring the metrics
-// aggregate: each run gets a private recorder with causal spans enabled, and
+// aggregate: each run gets a private span recorder, and
 // its critical-path summary is folded into the package row set after the run
 // finishes, under flowMu. TakeCrit returns the rows sorted by every field, so
 // the output is deterministic at any worker count — the multiset of runs is
@@ -74,20 +74,12 @@ func flowTraceEnabled() bool {
 	return on
 }
 
-// attachFlowTrace arms a run with a span-enabled recorder when collection is
-// on and the caller did not attach its own.
+// attachFlowTrace arms a run with a recorder when collection is on and the
+// caller did not attach its own.
 func attachFlowTrace(attach func(*trace.Recorder), existing *trace.Recorder) {
-	capacity, on := flowTraceConfig()
-	if !on {
-		return
+	if capacity, on := flowTraceConfig(); on && existing == nil {
+		attach(trace.New(capacity))
 	}
-	if existing != nil {
-		existing.EnableFlows(capacity)
-		return
-	}
-	rec := trace.New(0)
-	rec.EnableFlows(capacity)
-	attach(rec)
 }
 
 func addCritRow(row CritRow) {

@@ -102,7 +102,6 @@ func TestGoldenCritPathReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.New(0)
-	rec.EnableFlows(0)
 	sys.AttachTrace(rec)
 	r, err := sys.Run(app)
 	if err != nil {
@@ -127,5 +126,50 @@ func TestGoldenCritPathReport(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("critical-path report drifted from %s:\ngot:\n%swant:\n%s", goldenCritPath, got, want)
+	}
+}
+
+// TestExecSpansConserveBusyCycles: a traced run's exec spans account for
+// every busy cycle — per actor, the exec span durations sum to that unit's
+// stats.Unit.Busy (for design H, to the host core's busy cycles).
+func TestExecSpansConserveBusyCycles(t *testing.T) {
+	for _, d := range []config.Design{config.DesignO, config.DesignC, config.DesignH} {
+		app, err := newApp("bfs", Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.New(baseConfig(Small).WithDesign(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.New(0)
+		sys.AttachTrace(rec)
+		r, err := sys.Run(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.DroppedSpans() != 0 {
+			t.Fatalf("%v: %d spans dropped", d, rec.DroppedSpans())
+		}
+		busy := make([]uint64, len(r.Units))
+		for _, sp := range rec.Spans() {
+			if sp.Kind != trace.SpanExec {
+				continue
+			}
+			if int(sp.Actor) >= len(busy) || sp.Actor < 0 {
+				t.Fatalf("%v: exec span on actor %d, run has %d", d, sp.Actor, len(busy))
+			}
+			busy[sp.Actor] += sp.End - sp.Start
+		}
+		var total uint64
+		for i, u := range r.Units {
+			if busy[i] != u.Busy {
+				t.Errorf("%v actor %d: exec spans cover %d cycles, Busy = %d", d, i, busy[i], u.Busy)
+			}
+			total += u.Busy
+		}
+		if total == 0 {
+			t.Errorf("%v: no busy cycles, the check is vacuous", d)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"ndpbridge/internal/ndpunit"
 	"ndpbridge/internal/sim"
 	"ndpbridge/internal/task"
-	"ndpbridge/internal/trace"
 )
 
 // ExecEnv extends Env with the task runtime hooks the executor needs.
@@ -161,10 +160,8 @@ func (e *Executor) tryStart(c int) {
 	e.mTaskLat.Observe(lat)
 	rec := e.env.Trace()
 	var execSpan uint32
-	if rec.FlowsEnabled() {
-		flow, enq := rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-		q := rec.Span(flow, t.Span, trace.SpanQueued, trace.CatTaskQueue, c, enq, uint64(now))
-		execSpan = rec.OpenSpan(flow, q, trace.SpanExec, trace.CatBankBusy, c, uint64(now))
+	if rec != nil {
+		execSpan = rec.StartTask(&t, c, uint64(now))
 	}
 	e.ctxs[c] = hostCtx{e: e, start: now, cursor: now + e.cfg.Host.DispatchCost, span: execSpan}
 	e.env.Registry().Handler(t.Func)(&e.ctxs[c], t)
@@ -176,7 +173,6 @@ func (e *Executor) tryStart(c int) {
 	e.mTaskExec.Observe(end - now)
 	e.busyCycles[c] += end - now
 	e.tasks[c]++
-	rec.Record(trace.KindTask, c, uint64(now), uint64(end), e.env.Registry().Name(t.Func))
 	e.curTS[c] = t.TS
 	eng.At(end, e.doneFns[c])
 }

@@ -19,7 +19,7 @@ type Env interface {
 	Engine() *sim.Engine
 	Cfg() *config.Config
 	Map() *dram.AddrMap
-	// Trace returns the activity recorder, or nil when tracing is off.
+	// Trace returns the span recorder, or nil when tracing is off.
 	Trace() *trace.Recorder
 }
 
@@ -218,7 +218,7 @@ func (f *Forwarder) step(ch int) {
 	f.mBatchBytes.Observe(bytes)
 	f.mBatchMsgs.Observe(uint64(len(ms)))
 	// Actor -1: host batches are system-level, not tied to one unit.
-	f.env.Trace().Record(trace.KindGather, -1, now, end, "host-forward")
+	f.env.Trace().Mark(trace.MarkHostBatch, -1, uint32(len(ms)), now, end)
 	f.inflight += len(ms)
 	f.batch[ch] = ms
 	eng.At(end, f.batchFns[ch])

@@ -153,7 +153,7 @@ func (r *Retrans) Nack(seq uint32) {
 func (r *Retrans) resend(i int) {
 	e := &r.entries[i]
 	if r.trc != nil {
-		if rec := r.trc(); rec.FlowsEnabled() {
+		if rec := r.trc(); rec != nil {
 			// The span covers the round-trip that just failed: from the
 			// send whose ack window expired (deadline − rto) to now. A
 			// nack-triggered resend has a future deadline; clamp to now.

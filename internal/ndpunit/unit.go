@@ -49,7 +49,7 @@ type Env interface {
 	// NextTaskID returns a run-unique task identifier. Fault recovery
 	// dedups re-spawned tasks by it so each executes exactly once.
 	NextTaskID() uint64
-	// Trace returns the activity recorder, or nil when tracing is off.
+	// Trace returns the span recorder, or nil when tracing is off.
 	Trace() *trace.Recorder
 	// MsgPool returns the run's message pool (nil for a private pool).
 	MsgPool() *msg.Pool
@@ -160,10 +160,6 @@ type Unit struct {
 	mTaskLat  *metrics.Histogram // spawn → execution-start latency
 	mTaskExec *metrics.Histogram // execution duration
 	mMsgLat   *metrics.Histogram // staging → delivery latency
-	cBounces  *metrics.Counter
-	cBorrowed *metrics.Counter
-	cReturns  *metrics.Counter
-	cStalls   *metrics.Counter
 
 	hits64     uint64 // SRAM access approximation counter
 	lastBounce uint64 // most recent bounced task address, for diagnostics
@@ -182,10 +178,6 @@ func (u *Unit) BindMetrics(reg *metrics.Registry) {
 	u.mTaskLat = reg.Histogram("task_latency_cycles")
 	u.mTaskExec = reg.Histogram("task_exec_cycles")
 	u.mMsgLat = reg.Histogram("msg_latency_cycles")
-	u.cBounces = reg.Counter("bounces")
-	u.cBorrowed = reg.Counter("blocks_borrowed")
-	u.cReturns = reg.Counter("blocks_returned")
-	u.cStalls = reg.Counter("mailbox_stalls")
 }
 
 // QueueLen returns the number of tasks waiting in the unit's queues (main
@@ -415,7 +407,6 @@ func (u *Unit) tryStart() {
 			// The block was lent away after this task was queued:
 			// bounce the task back into the fabric (Section VI-B).
 			u.st.Bounces++
-			u.cBounces.Inc()
 			u.lastBounce = t.Addr
 			u.emit(u.taskMessage(t, true))
 			if len(u.staged) > 0 && !u.flushStaged() {
@@ -438,10 +429,8 @@ func (u *Unit) runTask(t task.Task, eng *sim.Engine, epj float64) {
 	// children can reference as their parent; closed once the cursor lands.
 	rec := u.env.Trace()
 	var execSpan uint32
-	if rec.FlowsEnabled() {
-		flow, enq := rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-		q := rec.Span(flow, t.Span, trace.SpanQueued, trace.CatTaskQueue, u.id, enq, now)
-		execSpan = rec.OpenSpan(flow, q, trace.SpanExec, trace.CatBankBusy, u.id, now)
+	if rec != nil {
+		execSpan = rec.StartTask(&t, u.id, now)
 	}
 	// Task queue pop: one DRAM record read. The execution context is reused
 	// across tasks — handlers run synchronously and never retain it.
@@ -464,7 +453,6 @@ func (u *Unit) runTask(t task.Task, eng *sim.Engine, epj float64) {
 		u.ft.cur = &tc
 		u.ft.curBusy = end - now
 	}
-	u.env.Trace().Record(trace.KindTask, u.id, now, end, u.env.Registry().Name(t.Func))
 	// One task is in flight at a time (u.running), so the completion event
 	// is the pre-bound taskDone reading the epoch shadowed in curTS.
 	u.curTS = t.TS
@@ -495,7 +483,7 @@ func (u *Unit) taskDone() {
 func (u *Unit) taskMessage(t task.Task, escalate bool) *msg.Message {
 	m := u.pool.NewTaskIn(u.id, u.env.Map().Home(t.Addr), t)
 	m.Escalate = escalate
-	if rec := u.env.Trace(); rec.FlowsEnabled() {
+	if rec := u.env.Trace(); rec != nil {
 		m.Flow, _ = rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
 	}
 	return m
@@ -537,7 +525,6 @@ func (u *Unit) flushStaged() bool {
 		}
 		if !mb.Enqueue(m) {
 			u.st.Stalls++
-			u.cStalls.Inc()
 			return false
 		}
 		u.st.MsgsOut++
@@ -566,7 +553,7 @@ func (u *Unit) DrainChipMail(budget uint64) ([]*msg.Message, uint64) {
 	}
 	ms, n := u.chipMail.Drain(budget)
 	if len(ms) > 0 {
-		if rec := u.env.Trace(); rec.FlowsEnabled() {
+		if rec := u.env.Trace(); rec != nil {
 			now := u.eng.Now()
 			for _, m := range ms {
 				// Intra-chip RowClone pickup: batching delay, like a
@@ -612,7 +599,7 @@ func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, uint64) {
 	if len(ms) == 0 {
 		return nil, 0
 	}
-	if rec := u.env.Trace(); rec.FlowsEnabled() {
+	if rec := u.env.Trace(); rec != nil {
 		// One mailbox-wait span per message: staged → picked up by this
 		// gather. The message's span/hop stamps advance to this hop so the
 		// next leg chains causally.
@@ -785,9 +772,7 @@ func (u *Unit) receive(m *msg.Message) {
 	u.st.MsgsIn++
 	u.env.MsgDelivered()
 	now := uint64(u.eng.Now())
-	rec := u.env.Trace()
-	rec.Record(trace.KindDeliver, u.id, now, now, "")
-	if rec.FlowsEnabled() {
+	if rec := u.env.Trace(); rec != nil {
 		// Final in-flight leg: last hop handoff → bank commit here.
 		m.Span = rec.Span(m.Flow, m.Span, trace.SpanDeliver, u.hopCat(m), u.id, m.HopStart(), now)
 		m.HopAt = now
@@ -806,7 +791,6 @@ func (u *Unit) receive(m *msg.Message) {
 			// escalate if we are the home (it lives in another
 			// rank).
 			u.st.Bounces++
-			u.cBounces.Inc()
 			u.lastBounce = t.Addr
 			u.env.MsgStaged() // re-enters flight
 			home := u.env.Map().Home(t.Addr) == u.id
@@ -865,7 +849,6 @@ func (u *Unit) receiveData(m *msg.Message) {
 			u.returnBlock(ev.Key, ev.Value)
 		}
 		u.st.Borrowed++
-		u.cBorrowed.Inc()
 	}
 	if int(m.Index) == int(m.Total)-1 {
 		u.tryStart()
@@ -920,7 +903,6 @@ func (u *Unit) returnBlock(blk, slot uint64) {
 	}
 	u.flushStaged()
 	u.st.Returns++
-	u.cReturns.Inc()
 }
 
 // ForceReturn is the back-invalidation used when a bridge-level dataBorrowed
@@ -1080,7 +1062,7 @@ func (u *Unit) CommandSchedule(budget uint64, round uint32) {
 			tm := u.pool.NewTaskIn(u.id, -1, t)
 			tm.Sched = true
 			tm.Round = round
-			if rec := u.env.Trace(); rec.FlowsEnabled() {
+			if rec := u.env.Trace(); rec != nil {
 				tm.Flow, _ = rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
 			}
 			u.emit(tm)

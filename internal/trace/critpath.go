@@ -1,12 +1,12 @@
-// Critical-path extraction. The span graph recorded under EnableFlows is a
-// forest: every span points at the span that caused it. Per epoch, the walk
-// below finds the last span to finish inside the epoch (the thing the barrier
-// was actually waiting for), follows its parent chain backwards, and bills
-// every cycle of the epoch to exactly one attribution category — span time to
-// the span's category, causal gaps and uncovered prefix to slack. Because the
-// walk moves a single cursor monotonically from the epoch's end to its start
-// and each step bills precisely the cycles the cursor moved, the categories
-// sum to the epoch length by construction (property-tested).
+// Critical-path extraction. The recorded span graph is a forest: every span
+// points at the span that caused it. Per epoch (bounded by epoch marks), the
+// walk below finds the last span to finish inside the epoch (the thing the
+// barrier was actually waiting for), follows its parent chain backwards, and
+// bills every cycle of the epoch to exactly one attribution category — span
+// time to the span's category, causal gaps and uncovered prefix to slack.
+// Because the walk moves a single cursor monotonically from the epoch's end
+// to its start and each step bills precisely the cycles the cursor moved, the
+// categories sum to the epoch length by construction (property-tested).
 package trace
 
 import (
@@ -125,10 +125,10 @@ type CritReport struct {
 }
 
 // CritPath extracts the per-epoch critical path from the recorded spans and
-// attributes the run's makespan to exclusive categories. Returns nil when
-// flow recording was never enabled.
+// attributes the run's makespan to exclusive categories. Returns nil for a
+// nil recorder.
 func (r *Recorder) CritPath(makespan uint64) *CritReport {
-	if r == nil || !r.flows {
+	if r == nil {
 		return nil
 	}
 	rep := &CritReport{
@@ -136,10 +136,15 @@ func (r *Recorder) CritPath(makespan uint64) *CritReport {
 		SpanCount:    len(r.spans),
 		DroppedSpans: r.spanDrops,
 	}
-	// Epoch boundaries: each mark starts an epoch; the last epoch ends at
-	// the makespan. No marks (flows enabled on a system without barriers)
+	// Epoch boundaries: each epoch mark starts an epoch; the last epoch ends
+	// at the makespan. No epoch marks (a system without barriers)
 	// degenerates to one epoch covering the whole run.
-	marks := append([]EpochMark(nil), r.epochs...)
+	var marks []Mark
+	for _, m := range r.marks {
+		if m.Kind == MarkEpoch {
+			marks = append(marks, m)
+		}
+	}
 	// The barrier fires marks in time order, but sort defensively: the
 	// sums-to-makespan invariant must hold for any input, not just
 	// well-behaved recordings.

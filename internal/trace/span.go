@@ -1,21 +1,19 @@
-// Causal flow spans. Beyond flat activity intervals, the recorder can track
-// *flows*: causal chains that follow a root task (or a migrated data block)
-// through every hop of the unit → L1 bridge → L2 bridge → host path. Each hop
-// is a Span carrying the flow ID, a link to its parent span, a kind (what the
-// flow was doing) and a category (who gets billed for the time). Spans feed
-// the Perfetto flow-arrow export (FlowTrace) and the critical-path analysis
-// (CritPath). Span recording is off by default — EnableFlows switches it on —
-// and every method is a no-op on a nil or flow-disabled recorder, so hot call
-// sites stay allocation-free when tracing is off.
+// Causal flow spans. A flow is a causal chain that follows a root task (or a
+// migrated data block) through every hop of the unit → L1 bridge → L2 bridge
+// → host path. Each hop is a Span carrying the flow ID, a link to its parent
+// span, a kind (what the flow was doing) and a category (who gets billed for
+// the time). Spans feed the Perfetto export (ChromeTrace), the utilization
+// heatmap and the critical-path analysis (CritPath). Every method is a no-op
+// on a nil recorder, so hot call sites stay allocation-free when tracing is
+// off.
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 
 	"ndpbridge/internal/metrics"
+	"ndpbridge/internal/task"
 )
 
 // SpanKind says what the flow was doing during the span.
@@ -102,6 +100,8 @@ func (c Category) String() string {
 // Span is one causally-linked interval of a flow. Parent is the 1-based ID
 // of the span that caused this one (0 = root): parents are always recorded
 // before children, so Parent < this span's own ID and parent walks terminate.
+// Func names the task handler of an exec span; it fills padding, so a Span
+// stays 40 bytes.
 type Span struct {
 	Flow   uint64
 	Start  uint64
@@ -110,37 +110,14 @@ type Span struct {
 	Actor  int32
 	Kind   SpanKind
 	Cat    Category
+	Func   task.FuncID
 }
-
-// EpochMark records a bulk-synchronization barrier: epoch N began at At.
-type EpochMark struct {
-	N  uint32
-	At uint64
-}
-
-// EnableFlows switches on causal span recording with the given span capacity
-// (0 = default 2M). Spans past the cap are counted as dropped, bounding
-// memory on long runs.
-func (r *Recorder) EnableFlows(capacity int) {
-	if r == nil {
-		return
-	}
-	if capacity <= 0 {
-		capacity = 2_000_000
-	}
-	r.flows = true
-	r.spanCap = capacity
-}
-
-// FlowsEnabled reports whether causal span recording is on. Call sites use
-// it to skip per-message instrumentation loops entirely when flows are off.
-func (r *Recorder) FlowsEnabled() bool { return r != nil && r.flows }
 
 // NewFlow issues a fresh flow ID for roots that are not tasks (migrated
 // blocks, LB commands). The high bit keeps these IDs disjoint from task IDs,
 // which seed task flows directly.
 func (r *Recorder) NewFlow() uint64 {
-	if r == nil || !r.flows {
+	if r == nil {
 		return 0
 	}
 	r.nextFlow++
@@ -148,43 +125,45 @@ func (r *Recorder) NewFlow() uint64 {
 }
 
 // Span records one closed causal span and returns its 1-based ID (0 when
-// disabled or dropped — a valid Parent for subsequent spans either way).
-// End < Start is clamped to a zero-length span at End.
+// the recorder is nil or the span is dropped — a valid Parent for
+// subsequent spans either way). End < Start is clamped to a zero-length
+// span at End.
 func (r *Recorder) Span(flow uint64, parent uint32, k SpanKind, cat Category, actor int, start, end uint64) uint32 {
-	if r == nil || !r.flows {
-		return 0
-	}
-	if len(r.spans) >= r.spanCap {
-		r.spanDrops++
+	if r == nil {
 		return 0
 	}
 	if end < start {
 		start = end
 	}
-	r.catHist[cat].Observe(end - start)
-	r.spans = append(r.spans, Span{
-		Flow: flow, Start: start, End: end,
-		Parent: parent, Actor: int32(actor), Kind: k, Cat: cat,
-	})
-	return uint32(len(r.spans))
+	id := r.push(Span{Flow: flow, Start: start, End: end, Parent: parent, Actor: int32(actor), Kind: k, Cat: cat})
+	if id != 0 {
+		r.catHist[cat].Observe(end - start)
+	}
+	return id
 }
 
-// OpenSpan records a span whose end is not yet known (End == Start until
-// CloseSpan). Children spawned mid-span can already reference the returned
-// ID as their parent.
-func (r *Recorder) OpenSpan(flow uint64, parent uint32, k SpanKind, cat Category, actor int, start uint64) uint32 {
-	if r == nil || !r.flows {
-		return 0
-	}
-	if len(r.spans) >= r.spanCap {
+// push appends sp and returns its ID, or counts it dropped past the cap.
+func (r *Recorder) push(sp Span) uint32 {
+	if len(r.spans) >= r.cap {
 		r.spanDrops++
 		return 0
 	}
-	r.spans = append(r.spans, Span{
-		Flow: flow, Start: start, End: start,
-		Parent: parent, Actor: int32(actor), Kind: k, Cat: cat,
-	})
+	r.spans = append(r.spans, sp)
 	return uint32(len(r.spans))
+}
+
+// StartTask records the ready-queue wait of task t, which starts executing
+// on actor at cycle now, and opens its exec span (End == Start until
+// CloseSpan). It returns the exec span's ID, which children spawned by the
+// handler reference as their parent.
+func (r *Recorder) StartTask(t *task.Task, actor int, now uint64) uint32 {
+	if r == nil {
+		return 0
+	}
+	flow, enq := r.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
+	q := r.Span(flow, t.Span, SpanQueued, CatTaskQueue, actor, enq, now)
+	return r.push(Span{Flow: flow, Start: now, End: now, Parent: q, Actor: int32(actor),
+		Kind: SpanExec, Cat: CatBankBusy, Func: t.Func})
 }
 
 // TaskOrigin resolves the flow and queue-entry cycle of a task about to
@@ -197,7 +176,7 @@ func (r *Recorder) OpenSpan(flow uint64, parent uint32, k SpanKind, cat Category
 // its spawn cycle; any other parent is a delivery hop, whose End is the
 // moment the task entered this queue.
 func (r *Recorder) TaskOrigin(span uint32, id, spawnedAt uint64) (flow, enq uint64) {
-	if r == nil || !r.flows || span == 0 || int(span) > len(r.spans) {
+	if r == nil || span == 0 || int(span) > len(r.spans) {
 		return id, spawnedAt
 	}
 	sp := r.spans[span-1]
@@ -207,7 +186,7 @@ func (r *Recorder) TaskOrigin(span uint32, id, spawnedAt uint64) (flow, enq uint
 	return sp.Flow, sp.End
 }
 
-// CloseSpan sets the end of a span opened with OpenSpan and bills its
+// CloseSpan sets the end of an exec span opened by StartTask and bills its
 // duration to the span's category histogram.
 func (r *Recorder) CloseSpan(id uint32, end uint64) {
 	if r == nil || id == 0 || int(id) > len(r.spans) {
@@ -219,15 +198,6 @@ func (r *Recorder) CloseSpan(id uint32, end uint64) {
 	}
 	sp.End = end
 	r.catHist[sp.Cat].Observe(end - sp.Start)
-}
-
-// EpochMark records that epoch n began at cycle at. Marks arrive in time
-// order (the barrier fires them) and bound the per-epoch attribution.
-func (r *Recorder) EpochMark(n uint32, at uint64) {
-	if r == nil || !r.flows {
-		return
-	}
-	r.epochs = append(r.epochs, EpochMark{N: n, At: at})
 }
 
 // Spans returns the retained spans (do not modify).
@@ -246,20 +216,12 @@ func (r *Recorder) SpanCount() int {
 	return len(r.spans)
 }
 
-// DroppedSpans returns how many spans exceeded the span capacity.
+// DroppedSpans returns how many spans exceeded the capacity.
 func (r *Recorder) DroppedSpans() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.spanDrops
-}
-
-// Epochs returns the recorded epoch marks (do not modify).
-func (r *Recorder) Epochs() []EpochMark {
-	if r == nil {
-		return nil
-	}
-	return r.epochs
 }
 
 // BindMetrics attaches one wait-time histogram per attribution category
@@ -273,65 +235,4 @@ func (r *Recorder) BindMetrics(reg *metrics.Registry) {
 		name := "wait_" + strings.ReplaceAll(categoryNames[c], "-", "_") + "_cycles"
 		r.catHist[c] = reg.Histogram(name)
 	}
-}
-
-// FlowTrace writes a Chrome/Perfetto trace JSON array holding the interval
-// events, the causal spans, and one flow arrow ("s"/"f" event pair) per
-// parent→child span edge, so Perfetto renders the unit→bridge→host chains
-// as connected arrows. The leading metadata record carries retained/dropped
-// counts for both events and spans. A nil recorder writes a valid trace
-// holding only that record.
-func (r *Recorder) FlowTrace(w io.Writer) error {
-	capacity, spanCap := 0, 0
-	if r != nil {
-		capacity, spanCap = r.cap, r.spanCap
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw,
-		`[`+"\n"+`  {"name":"ndpbridge_trace_info","ph":"M","pid":0,"tid":0,"args":{"retained":%d,"dropped":%d,"capacity":%d,"spans":%d,"spans_dropped":%d,"span_capacity":%d}}`,
-		r.Len(), r.Dropped(), capacity, r.SpanCount(), r.DroppedSpans(), spanCap); err != nil {
-		return err
-	}
-	if err := r.writeEventBody(bw); err != nil {
-		return err
-	}
-	spans := r.Spans()
-	for i, sp := range spans {
-		dur := sp.End - sp.Start
-		if dur == 0 {
-			dur = 1
-		}
-		if _, err := fmt.Fprintf(bw,
-			",\n"+`  {"name":%q,"cat":%q,"ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"flow":%d,"span":%d,"parent":%d}}`,
-			sp.Kind, sp.Cat, sp.Start, dur, sp.Actor+1, sp.Flow, i+1, sp.Parent); err != nil {
-			return err
-		}
-	}
-	// Flow arrows: the "s" (start) event sits on the parent span's lane at
-	// the causal handoff instant, the "f" (finish, bp:"e") event on the
-	// child's lane at the child's start. The arrow ID is the child span's ID,
-	// unique per edge since each span has exactly one parent.
-	for i, sp := range spans {
-		if sp.Parent == 0 {
-			continue
-		}
-		parent := spans[sp.Parent-1]
-		handoff := parent.End
-		if handoff > sp.Start {
-			handoff = sp.Start
-		}
-		if handoff < parent.Start {
-			handoff = parent.Start
-		}
-		if _, err := fmt.Fprintf(bw,
-			",\n"+`  {"name":"flow","cat":"flow","ph":"s","id":%d,"ts":%d,"pid":0,"tid":%d}`+
-				",\n"+`  {"name":"flow","cat":"flow","ph":"f","bp":"e","id":%d,"ts":%d,"pid":0,"tid":%d}`,
-			i+1, handoff, parent.Actor+1, i+1, sp.Start, sp.Actor+1); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

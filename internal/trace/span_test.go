@@ -6,24 +6,22 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ndpbridge/internal/metrics"
+	"ndpbridge/internal/task"
 )
 
 func TestNilRecorderSpansSafe(t *testing.T) {
 	var r *Recorder
-	if r.FlowsEnabled() {
-		t.Error("nil recorder reports flows enabled")
-	}
-	r.EnableFlows(10) // must not panic
 	if id := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 10); id != 0 {
 		t.Errorf("nil recorder Span = %d, want 0", id)
 	}
-	if id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 0); id != 0 {
-		t.Errorf("nil recorder OpenSpan = %d, want 0", id)
+	if id := r.StartTask(&task.Task{ID: 1}, 0, 0); id != 0 {
+		t.Errorf("nil recorder StartTask = %d, want 0", id)
 	}
 	r.CloseSpan(1, 5)
-	r.EpochMark(0, 0)
+	r.Mark(MarkEpoch, -1, 0, 0, 0)
 	if r.NewFlow() != 0 || r.SpanCount() != 0 || r.DroppedSpans() != 0 {
 		t.Error("nil recorder span state must be inert")
 	}
@@ -32,26 +30,16 @@ func TestNilRecorderSpansSafe(t *testing.T) {
 	}
 }
 
-func TestFlowsDisabledNoops(t *testing.T) {
-	r := New(10)
-	if r.FlowsEnabled() {
-		t.Fatal("flows on without EnableFlows")
-	}
-	if id := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 10); id != 0 {
-		t.Errorf("disabled Span = %d, want 0", id)
-	}
-	r.EpochMark(0, 0)
-	if r.SpanCount() != 0 || len(r.Epochs()) != 0 {
-		t.Error("disabled recorder retained span state")
-	}
-	if r.CritPath(100) != nil {
-		t.Error("disabled recorder CritPath must be nil")
+// TestSpanStays40Bytes pins the Span layout: the exec span's FuncID lives in
+// what would otherwise be padding.
+func TestSpanStays40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Span{}); n != 40 {
+		t.Errorf("Span is %d bytes, want 40", n)
 	}
 }
 
 func TestSpanCapAndDrops(t *testing.T) {
-	r := New(10)
-	r.EnableFlows(3)
+	r := New(3)
 	var last uint32
 	for i := 0; i < 5; i++ {
 		last = r.Span(1, last, SpanExec, CatBankBusy, 0, uint64(i), uint64(i+1))
@@ -65,34 +53,33 @@ func TestSpanCapAndDrops(t *testing.T) {
 	if last != 0 {
 		t.Errorf("dropped span returned id %d, want 0 (a valid root parent)", last)
 	}
-	// OpenSpan drops past the cap too.
-	if id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 9); id != 0 {
-		t.Errorf("OpenSpan past cap = %d, want 0", id)
+	// StartTask drops both its queued and its exec span past the cap.
+	if id := r.StartTask(&task.Task{ID: 1}, 0, 9); id != 0 {
+		t.Errorf("StartTask past cap = %d, want 0", id)
 	}
-	if r.DroppedSpans() != 3 {
-		t.Errorf("DroppedSpans = %d, want 3", r.DroppedSpans())
+	if r.DroppedSpans() != 4 {
+		t.Errorf("DroppedSpans = %d, want 4", r.DroppedSpans())
 	}
-	// The drop counts surface in the FlowTrace metadata record.
+	// The drop counts surface in the ChromeTrace metadata record.
 	var buf bytes.Buffer
-	if err := r.FlowTrace(&buf); err != nil {
+	if err := r.ChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"spans":3,"spans_dropped":3`) {
+	if !strings.Contains(buf.String(), `"spans":3,"spans_dropped":4`) {
 		t.Errorf("metadata missing span drop counts:\n%s", buf.String())
 	}
 }
 
 func TestSpanClampsReversedInterval(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
 	r.Span(1, 0, SpanExec, CatBankBusy, 0, 50, 20)
 	sp := r.Spans()[0]
 	if sp.Start != 20 || sp.End != 20 {
 		t.Errorf("reversed span = [%d,%d], want clamped to [20,20]", sp.Start, sp.End)
 	}
-	id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 30)
+	id := r.StartTask(&task.Task{ID: 1, SpawnedAt: 30}, 0, 30)
 	r.CloseSpan(id, 10) // close before open: clamp to zero length
-	sp = r.Spans()[1]
+	sp = r.Spans()[id-1]
 	if sp.Start != 30 || sp.End != 30 {
 		t.Errorf("reversed close = [%d,%d], want [30,30]", sp.Start, sp.End)
 	}
@@ -102,7 +89,6 @@ func TestSpanClampsReversedInterval(t *testing.T) {
 
 func TestNewFlowDisjointFromTaskIDs(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
 	a, b := r.NewFlow(), r.NewFlow()
 	if a == b {
 		t.Error("NewFlow returned the same ID twice")
@@ -113,16 +99,17 @@ func TestNewFlowDisjointFromTaskIDs(t *testing.T) {
 }
 
 func TestFlowTraceIsValidJSON(t *testing.T) {
+	reg := task.NewRegistry()
+	fn := reg.Register(`label "quoted" \ and
+control`, func(task.Ctx, task.Task) {})
 	r := New(10)
-	r.EnableFlows(10)
-	r.Record(KindTask, 0, 0, 10, `label "quoted" \ and
-control`)
-	root := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 5)
-	exec := r.OpenSpan(1, root, SpanExec, CatBankBusy, 0, 5)
+	r.NameFuncs(reg)
+	root := r.Span(1, 0, SpanDeliver, CatGatherBatch, 0, 0, 5)
+	exec := r.StartTask(&task.Task{Func: fn, Span: root}, 0, 5)
 	r.CloseSpan(exec, 20)
 	r.Span(1, exec, SpanMailbox, CatGatherBatch, 1, 20, 30)
 	var buf bytes.Buffer
-	if err := r.FlowTrace(&buf); err != nil {
+	if err := r.ChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -144,19 +131,19 @@ control`)
 			finishes++
 		}
 	}
-	if spans != 3 {
-		t.Errorf("%d span events, want 3", spans)
+	if spans != 4 {
+		t.Errorf("%d span events, want 4", spans)
 	}
-	// Two spans have parents, so two arrows, each an s/f pair.
-	if starts != 2 || finishes != 2 {
-		t.Errorf("%d/%d arrow events, want 2/2", starts, finishes)
+	// Three spans have parents, so three arrows, each an s/f pair.
+	if starts != 3 || finishes != 3 {
+		t.Errorf("%d/%d arrow events, want 3/3", starts, finishes)
 	}
 }
 
 func TestFlowTraceEmptyAndNil(t *testing.T) {
 	for name, r := range map[string]*Recorder{"nil": nil, "empty": New(10)} {
 		var buf bytes.Buffer
-		if err := r.FlowTrace(&buf); err != nil {
+		if err := r.ChromeTrace(&buf); err != nil {
 			t.Fatalf("%s recorder: %v", name, err)
 		}
 		var events []map[string]any
@@ -171,11 +158,9 @@ func TestFlowTraceEmptyAndNil(t *testing.T) {
 
 func TestBindMetricsFeedsCategoryHistograms(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
 	reg := metrics.NewRegistry()
 	r.BindMetrics(reg)
-	r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 40)
-	id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 40)
+	id := r.StartTask(&task.Task{ID: 1}, 0, 40) // queued [0,40], exec opens at 40
 	r.CloseSpan(id, 100)
 	if n := reg.FindHistogram("wait_task_queue_cycles").Count(); n != 1 {
 		t.Errorf("wait_task_queue_cycles count = %d, want 1", n)
@@ -191,8 +176,7 @@ func TestBindMetricsFeedsCategoryHistograms(t *testing.T) {
 
 func TestCritPathSimpleChain(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
-	r.EpochMark(0, 0)
+	r.Mark(MarkEpoch, -1, 0, 0, 0)
 	// queued [0,10] → exec [10,30] → mailbox [30,70] → exec [70,100]
 	q := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 10)
 	e1 := r.Span(1, q, SpanExec, CatBankBusy, 0, 10, 30)
@@ -200,6 +184,9 @@ func TestCritPathSimpleChain(t *testing.T) {
 	r.Span(1, m, SpanExec, CatBankBusy, 1, 70, 100)
 	// A decoy on another flow that finishes earlier.
 	r.Span(2, 0, SpanExec, CatBankBusy, 2, 0, 60)
+	// Non-epoch marks do not bound epochs.
+	r.Mark(MarkLB, 0, 1, 50, 50)
+	r.Mark(MarkStall, 1, 0, 20, 80)
 	rep := r.CritPath(100)
 	if len(rep.Epochs) != 1 {
 		t.Fatalf("%d epochs, want 1", len(rep.Epochs))
@@ -219,8 +206,7 @@ func TestCritPathSimpleChain(t *testing.T) {
 
 func TestCritPathBillsGapsToSlack(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
-	r.EpochMark(0, 0)
+	r.Mark(MarkEpoch, -1, 0, 0, 0)
 	// Parent ends at 20, child starts at 50: a 30-cycle causal gap. The
 	// epoch also has a 10-cycle untracked tail (90→100).
 	p := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 20)
@@ -234,9 +220,8 @@ func TestCritPathBillsGapsToSlack(t *testing.T) {
 
 func TestCritPathZeroLengthBarrierSpan(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
-	r.EpochMark(0, 0)
-	r.EpochMark(1, 50)
+	r.Mark(MarkEpoch, -1, 0, 0, 0)
+	r.Mark(MarkEpoch, -1, 1, 50, 50)
 	// Real epoch-0 work ending exactly at the barrier.
 	r.Span(1, 0, SpanExec, CatBankBusy, 0, 10, 50)
 	// A zero-length queued span sitting on the barrier (a task seeded and
@@ -259,14 +244,14 @@ func TestCritPathZeroLengthBarrierSpan(t *testing.T) {
 func TestCritPathAttributionSumsToMakespan(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for trial := 0; trial < 200; trial++ {
-		r := New(10)
-		r.EnableFlows(0)
+		r := New(0)
 		makespan := uint64(rng.Intn(5000) + 100)
 		// Epoch marks: 0..4 extra barriers at random cycles (mark 0 always).
-		r.EpochMark(0, 0)
+		r.Mark(MarkEpoch, -1, 0, 0, 0)
 		nEpochs := rng.Intn(5)
 		for i := 0; i < nEpochs; i++ {
-			r.EpochMark(uint32(i+1), uint64(rng.Intn(int(makespan)+200)))
+			at := uint64(rng.Intn(int(makespan) + 200))
+			r.Mark(MarkEpoch, -1, uint32(i+1), at, at)
 		}
 		// Random forest: each span picks any earlier span (or none) as its
 		// parent and a random interval, sometimes zero-length, sometimes
@@ -305,7 +290,6 @@ func TestCritPathAttributionSumsToMakespan(t *testing.T) {
 
 func TestCritPathNoEpochMarks(t *testing.T) {
 	r := New(10)
-	r.EnableFlows(10)
 	r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 100)
 	rep := r.CritPath(100)
 	if len(rep.Epochs) != 1 || rep.Epochs[0].Start != 0 || rep.Epochs[0].End != 100 {
@@ -319,9 +303,8 @@ func TestCritPathNoEpochMarks(t *testing.T) {
 func TestCritPathRenderDeterministic(t *testing.T) {
 	build := func() string {
 		r := New(10)
-		r.EnableFlows(10)
-		r.EpochMark(0, 0)
-		r.EpochMark(1, 40)
+		r.Mark(MarkEpoch, -1, 0, 0, 0)
+		r.Mark(MarkEpoch, -1, 1, 40, 40)
 		a := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 15)
 		r.Span(1, a, SpanExec, CatBankBusy, 0, 15, 40)
 		r.Span(2, 0, SpanBridgeQ, CatBridgeQueue, 1, 40, 90)
