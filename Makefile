@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet staticcheck ndplint ownership bench benchdiff
+.PHONY: build test race lint vet staticcheck ndplint ownership bench
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,3 @@ ownership:
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench 'BenchmarkBorrowed|BenchmarkMailbox|BenchmarkQueue' -benchmem -run xxx ./internal/metadata/ ./internal/mailbox/ ./internal/task/
-
-# benchdiff reruns the small-scale campaign and diffs it against the
-# committed baseline; exits non-zero on a >10% events/sec regression.
-benchdiff:
-	$(GO) run ./cmd/ndpbench -scale small -j 1 -benchjson /tmp/ndpbench-new.json >/dev/null
-	$(GO) run ./cmd/ndpbench -compare results/bench.json /tmp/ndpbench-new.json

@@ -125,18 +125,9 @@ func main() {
 		progress  = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
 		ckptDir   = flag.String("ckpt-dir", "", "persist every completed simulation to this directory so a rerun resumes instead of recomputing")
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor inside every simulation; violations fail the experiment")
-		compare   = flag.Bool("compare", false, "benchdiff mode: ndpbench -compare old.json new.json prints per-experiment events/sec deltas and exits 1 on regression beyond -compare-threshold")
-		compareTh = flag.Float64("compare-threshold", defaultRegressionThreshold, "relative events/sec drop treated as a regression by -compare (0.10 = 10%)")
 		critpath  = flag.Bool("critpath", false, "trace causal flows inside every simulation and print a per-experiment critical-path bottleneck table")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: ndpbench -compare old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *compareTh))
-	}
 	// Simulations allocate mostly long-lived system state up front and run
 	// near allocation-free after warm-up, so the default GC target (100%)
 	// mostly re-marks the same live heap. Relaxing it trades transient
@@ -356,87 +347,4 @@ func writeBenchJSON(path string, b *benchFile) error {
 		return err
 	}
 	return checkpoint.WriteFileAtomic(path, append(data, '\n'))
-}
-
-// defaultRegressionThreshold is the default -compare-threshold: the
-// events/sec drop (relative to the old capture) past which runCompare flags
-// an experiment as regressed and exits non-zero.
-const defaultRegressionThreshold = 0.10
-
-func readBenchJSON(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b benchFile
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// runCompare diffs two -benchjson captures (benchdiff): per-experiment
-// events/sec deltas plus the aggregate, returning 1 when any non-analytic
-// experiment (or the aggregate) regressed by more than threshold. Analytic
-// rows and experiments missing from either capture are reported but never
-// counted as regressions.
-func runCompare(oldPath, newPath string, threshold float64) int {
-	oldB, err := readBenchJSON(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ndpbench: compare: %v\n", err)
-		return 2
-	}
-	newB, err := readBenchJSON(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ndpbench: compare: %v\n", err)
-		return 2
-	}
-	if oldB.Scale != newB.Scale || oldB.Jobs != newB.Jobs {
-		fmt.Fprintf(os.Stderr, "ndpbench: compare: captures differ in shape (scale %q jobs %d vs scale %q jobs %d) — deltas may not be meaningful\n",
-			oldB.Scale, oldB.Jobs, newB.Scale, newB.Jobs)
-	}
-	oldBy := map[string]benchRecord{}
-	for _, r := range oldB.Experiments {
-		oldBy[r.Name] = r
-	}
-	fmt.Printf("%-12s %14s %14s %9s\n", "experiment", "old ev/s", "new ev/s", "delta")
-	var regressions []string
-	for _, nr := range newB.Experiments {
-		or, ok := oldBy[nr.Name]
-		switch {
-		case nr.Analytic || (or.EventsPerSec == 0 && nr.EventsPerSec == 0):
-			fmt.Printf("%-12s %14s %14s %9s\n", nr.Name, "-", "-", "n/a")
-		case !ok:
-			fmt.Printf("%-12s %14s %14.0f %9s\n", nr.Name, "(new)", nr.EventsPerSec, "n/a")
-		case or.EventsPerSec == 0:
-			fmt.Printf("%-12s %14.0f %14.0f %9s\n", nr.Name, or.EventsPerSec, nr.EventsPerSec, "n/a")
-		default:
-			delta := nr.EventsPerSec/or.EventsPerSec - 1
-			mark := ""
-			if delta < -threshold {
-				mark = "  REGRESSED"
-				regressions = append(regressions, fmt.Sprintf("%s %+.1f%%", nr.Name, delta*100))
-			}
-			fmt.Printf("%-12s %14.0f %14.0f %+8.1f%%%s\n", nr.Name, or.EventsPerSec, nr.EventsPerSec, delta*100, mark)
-		}
-	}
-	if oldB.TotalWallS > 0 && newB.TotalWallS > 0 {
-		oldAgg := float64(oldB.TotalEvents) / oldB.TotalWallS
-		newAgg := float64(newB.TotalEvents) / newB.TotalWallS
-		if oldAgg > 0 {
-			delta := newAgg/oldAgg - 1
-			mark := ""
-			if delta < -threshold {
-				mark = "  REGRESSED"
-				regressions = append(regressions, fmt.Sprintf("aggregate %+.1f%%", delta*100))
-			}
-			fmt.Printf("%-12s %14.0f %14.0f %+8.1f%%%s\n", "aggregate", oldAgg, newAgg, delta*100, mark)
-		}
-	}
-	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "ndpbench: compare: regression beyond %.0f%%: %s\n",
-			threshold*100, strings.Join(regressions, ", "))
-		return 1
-	}
-	return 0
 }

@@ -344,17 +344,6 @@ func (s *System) AttachTrace(r *trace.Recorder) {
 // MsgPool returns the run's shared message pool (ndpunit.Env).
 func (s *System) MsgPool() *msg.Pool { return s.pool }
 
-// SetCompatEventCore switches the run to the pre-batching event core: a pure
-// min-heap engine (no calendar queue) and one engine event per delivered
-// message (no unit inbox). The event-core equivalence tests run one system
-// each way and require identical results and state digests.
-func (s *System) SetCompatEventCore(on bool) {
-	s.eng.SetHeapOnly(on)
-	for _, u := range s.units {
-		u.SetLegacyDeliver(on)
-	}
-}
-
 // Trace returns the attached recorder (nil when tracing is off).
 func (s *System) Trace() *trace.Recorder { return s.rec }
 

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"testing"
+	"testing/quick"
 
 	"ndpbridge/internal/config"
 )
@@ -150,5 +151,47 @@ func TestBankRefreshDisabled(t *testing.T) {
 	b.Access(1_000_000, 0, 8, false, AccessLocal, 150)
 	if b.Stats().Refreshes != 0 {
 		t.Error("refresh should be disabled when TREFI is zero")
+	}
+}
+
+// TestBankCompletionsStrictlyIncrease pins the invariant the unit inbox
+// rests on: every non-empty access completes strictly after the previous
+// one, whatever the request times, offsets and sizes, and across refreshes.
+// The inbox schedules one commit event per message and pops its head when
+// one fires, which is only right while completions strictly increase.
+func TestBankCompletionsStrictlyIncrease(t *testing.T) {
+	cfg := config.Default().Timing
+	f := func(reqs []uint16, offs []uint32, sizes []uint8) bool {
+		b := NewBank(cfg)
+		var prev uint64
+		for i, at := range reqs {
+			// Request times span several refresh intervals and need not
+			// ascend.
+			now := uint64(at) % (8 * cfg.TREFI)
+			var off, n uint64 = 0, 1
+			if i < len(offs) {
+				off = uint64(offs[i]) * 64
+			}
+			if i < len(sizes) {
+				n += uint64(sizes[i])
+			}
+			end := b.Access(now, off, n, i%2 == 0, AccessComm, 150)
+			if end <= prev {
+				return false
+			}
+			prev = end
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// An access that collides with a due refresh still completes after
+	// the access before it.
+	b := NewBank(cfg)
+	end1 := b.Access(cfg.TREFI-1, 0, 8, true, AccessComm, 150)
+	end2 := b.Access(cfg.TREFI, 0, 8, true, AccessComm, 150)
+	if end2 <= end1 || b.Stats().Refreshes != 1 {
+		t.Fatalf("across a refresh: end %d then %d, %d refreshes", end1, end2, b.Stats().Refreshes)
 	}
 }

@@ -70,3 +70,30 @@ func TestGoldenSmallGrid(t *testing.T) {
 		t.Fatal("golden results drifted (run with -update if intentional)")
 	}
 }
+
+// mediumRecordPath is the recorded medium-scale campaign output. Its tables
+// are deterministic; only the wall-clock "(… in Xs)" lines vary.
+const mediumRecordPath = "../../results/ndpbench_medium.txt"
+
+// TestGoldenMediumFig2 gates the first slice of the medium record: Fig. 2 is
+// tree on design C over the full 512 units, the host-forwarded path on both
+// channels. The rendered table must equal the Fig. 2 block of the record,
+// leaving out the wall-clock "(fig2 in …)" line after it.
+func TestGoldenMediumFig2(t *testing.T) {
+	tbl, err := Fig2(Medium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(mediumRecordPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(rec, []byte("== Fig. 2 "))
+	end := bytes.Index(rec, []byte("\n(fig2 in "))
+	if start < 0 || end < start {
+		t.Fatalf("%s has no Fig. 2 block", mediumRecordPath)
+	}
+	if got, want := tbl.Render(), string(rec[start:end]); got != want {
+		t.Fatalf("Fig. 2 at medium scale drifted from %s:\n got:\n%s\nwant:\n%s", mediumRecordPath, got, want)
+	}
+}

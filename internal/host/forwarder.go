@@ -5,6 +5,8 @@
 package host
 
 import (
+	"fmt"
+
 	"ndpbridge/internal/config"
 	"ndpbridge/internal/dram"
 	"ndpbridge/internal/metrics"
@@ -50,17 +52,18 @@ type Forwarder struct {
 	chanOf   []int // channel of each unit, precomputed from the address map
 
 	// Per-channel pre-bound callbacks and reused buffers. batch holds the
-	// one in-flight gather batch per channel; pend is the FIFO of reserved
-	// per-message deliveries, drained one engine event at a time under each
-	// entry's reserved (cycle, seq) so execution order is identical to
-	// scheduling every delivery eagerly.
+	// one in-flight gather batch per channel; pend is the FIFO of messages
+	// written over the channel, in link-completion order. forward schedules
+	// one pendFns[ch] event per message at its completion; link completions
+	// strictly increase, so the event that fires always belongs to the head.
+	// lastEnd is the latest scheduled completion, which guards that order.
 	sweepFn  func()
 	stepFns  []func()
 	batchFns []func()
 	pendFns  []func()
 	batch    [][]*msg.Message
-	pend     [][]fwdPend
-	pendHead []int
+	pend     []msg.FIFO
+	lastEnd  []sim.Cycles
 
 	st ForwarderStats
 
@@ -101,8 +104,8 @@ func NewForwarder(env Env, units []*ndpunit.Unit) *Forwarder {
 	f.batchFns = make([]func(), n)
 	f.pendFns = make([]func(), n)
 	f.batch = make([][]*msg.Message, n)
-	f.pend = make([][]fwdPend, n)
-	f.pendHead = make([]int, n)
+	f.pend = make([]msg.FIFO, n)
+	f.lastEnd = make([]sim.Cycles, n)
 	for ch := 0; ch < n; ch++ {
 		ch := ch
 		f.stepFns[ch] = func() { f.step(ch) }
@@ -110,14 +113,6 @@ func NewForwarder(env Env, units []*ndpunit.Unit) *Forwarder {
 		f.pendFns[ch] = func() { f.deliverNext(ch) }
 	}
 	return f
-}
-
-// fwdPend is one reserved channel delivery awaiting its link completion.
-type fwdPend struct {
-	at  sim.Cycles
-	seq uint64
-	u   *ndpunit.Unit
-	m   *msg.Message
 }
 
 // Stats returns forwarding counters.
@@ -267,42 +262,21 @@ func (f *Forwarder) forward(m *msg.Message) {
 	}
 	ch := f.chanOf[dst]
 	end := f.links[ch].Reserve(eng.Now(), m.Size())
-	f.st.Bytes += m.Size()
-	u := f.units[dst]
-	// Reserve the engine sequence now but keep one event in flight per
-	// channel: link reservations complete in FIFO order, and scheduling
-	// the successor under its reserved (cycle, seq) reproduces the exact
-	// execution order of eagerly scheduling every delivery.
-	seq := eng.ReserveSeq()
-	f.pend[ch] = append(f.pend[ch], fwdPend{at: end, seq: seq, u: u, m: m})
-	if len(f.pend[ch])-f.pendHead[ch] == 1 {
-		eng.AtSeq(end, seq, f.pendFns[ch])
+	if end <= f.lastEnd[ch] {
+		panic(fmt.Sprintf("host: channel %d commit at cycle %d, not after the previous at %d", ch, end, f.lastEnd[ch]))
 	}
+	f.lastEnd[ch] = end
+	f.st.Bytes += m.Size()
+	f.pend[ch].Push(m)
+	eng.At(end, f.pendFns[ch])
 }
 
-// deliverNext commits the head pending delivery of one channel and arms the
-// next one.
+// deliverNext writes the head message of one channel into its destination
+// unit.
 //
 //ndplint:hotpath
 func (f *Forwarder) deliverNext(ch int) {
-	p := f.pend[ch][f.pendHead[ch]]
-	f.pend[ch][f.pendHead[ch]] = fwdPend{}
-	f.pendHead[ch]++
+	m := f.pend[ch].Pop()
 	f.inflight--
-	p.u.Deliver(p.m)
-	if f.pendHead[ch] < len(f.pend[ch]) {
-		n := f.pend[ch][f.pendHead[ch]]
-		f.eng.AtSeq(n.at, n.seq, f.pendFns[ch])
-		if f.pendHead[ch] > 64 && f.pendHead[ch]*2 >= len(f.pend[ch]) {
-			k := copy(f.pend[ch], f.pend[ch][f.pendHead[ch]:])
-			for i := k; i < len(f.pend[ch]); i++ {
-				f.pend[ch][i] = fwdPend{}
-			}
-			f.pend[ch] = f.pend[ch][:k]
-			f.pendHead[ch] = 0
-		}
-		return
-	}
-	f.pend[ch] = f.pend[ch][:0]
-	f.pendHead[ch] = 0
+	f.units[m.Dst].Deliver(m)
 }

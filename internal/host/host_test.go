@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"ndpbridge/internal/config"
@@ -207,4 +208,39 @@ func TestForwarderRoutesByHomeFallback(t *testing.T) {
 	if ran != 1 {
 		t.Error("fallback routing failed")
 	}
+}
+
+// TestForwarderCommitOrderGuard feeds a channel's commit queue a completion
+// cycle that does not lie past the previous one. The queue pops its head on
+// every commit event, so that order would deliver the wrong message; forward
+// must panic instead.
+func TestForwarderCommitOrderGuard(t *testing.T) {
+	env := newTestEnv(config.DesignC)
+	units := make([]*ndpunit.Unit, env.cfg.Geometry.Units())
+	rng := sim.NewRNG(1)
+	for i := range units {
+		units[i] = ndpunit.New(i, env, rng.Split())
+	}
+	f := NewForwarder(env, units)
+	dst := 3
+	addr := env.amap.Base(dst) + 64
+	ch := f.chanOf[dst]
+	expectPanic := func(name string) {
+		t.Helper()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "commit at cycle") {
+				t.Errorf("%s: recovered %q, want the channel guard's panic", name, r)
+			}
+		}()
+		f.forward(msg.NewTask(0, dst, task.New(0, 0, addr, 1)))
+	}
+	f.forward(msg.NewTask(0, dst, task.New(0, 0, addr, 1)))
+	if f.pend[ch].Len() != 1 {
+		t.Fatalf("channel %d queue holds %d messages, want 1", ch, f.pend[ch].Len())
+	}
+	// A fresh link completes the same transfer at the same cycle again.
+	f.links[ch] = sim.NewLink("host-channel", env.cfg.Timing.ChannelBytesPerCycle, 4)
+	expectPanic("equal commit cycle")
+	f.lastEnd[ch] = 1 << 40
+	expectPanic("earlier commit cycle")
 }

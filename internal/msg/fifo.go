@@ -1,8 +1,9 @@
 package msg
 
 // FIFO is a byte-accounted message queue: the shared representation of the
-// mailbox ring, the level-1 scatter and backup buffers, and the level-2
-// per-rank scatter queues. Each message's wire size is recorded when it is
+// mailbox ring, the level-1 scatter and backup buffers, the level-2 per-rank
+// scatter queues, and the commit queues of the unit inbox and the host
+// forwarder's channels. Each message's wire size is recorded when it is
 // pushed, so the budget loops that drain these queues (GATHER, SCATTER,
 // channel batches) read sizes from a dense byte array instead of
 // dereferencing every queued message, and the queue's byte occupancy is a

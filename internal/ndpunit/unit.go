@@ -58,15 +58,6 @@ type Env interface {
 // taskRecordBytes is the DRAM footprint of one task queue record.
 const taskRecordBytes = 32
 
-// inboxEntry is one delivered-but-uncommitted message in a unit's inbox: the
-// bank commit cycle, the engine sequence number reserved at Deliver time, and
-// the message itself.
-type inboxEntry struct {
-	at  sim.Cycles
-	seq uint64
-	m   *msg.Message
-}
-
 // schedSel is one block selected by CommandSchedule together with its tasks
 // and their summed workload.
 type schedSel struct {
@@ -120,19 +111,15 @@ type Unit struct {
 	// layers hold message pointers past delivery.
 	pool *msg.Pool //ndplint:nosnap memory recycling, carries no model state
 
-	// inbox is the batched-delivery queue: messages whose bank write has
-	// been charged, waiting for their commit cycle. Each entry carries the
-	// engine seq reserved at Deliver time; one dispatch event is in flight
-	// whenever the inbox is non-empty, scheduled under the head entry's
-	// (cycle, seq) so execution order is identical to per-message
-	// scheduling. Undelivered messages hold the epoch open, so the inbox
-	// is provably empty at every bulk-sync barrier.
-	inbox     []inboxEntry //ndplint:nosnap empty at barrier checkpoints, like the engine queue
-	inboxHead int          //ndplint:nosnap empty at barrier checkpoints
-	inboxFn   func()       //ndplint:nosnap wiring, rebound at construction
-	// legacyDeliver restores one engine event per delivered message (the
-	// pre-inbox path); the event-core equivalence tests run both.
-	legacyDeliver bool //ndplint:nosnap test toggle, not model state
+	// inbox holds the messages whose bank write has been charged, in
+	// commit order. Deliver schedules one inboxFn event per message at its
+	// commit cycle; bank completions strictly increase, so the event that
+	// fires always belongs to the head. lastCommit is the latest scheduled
+	// commit cycle, which guards that order. Undelivered messages hold the
+	// epoch open, so the inbox is provably empty at every bulk-sync barrier.
+	inbox      msg.FIFO   //ndplint:nosnap empty at barrier checkpoints, like the engine queue
+	lastCommit sim.Cycles //ndplint:nosnap ordering guard, not model state
+	inboxFn    func()     //ndplint:nosnap wiring, rebound at construction
 
 	// Reused hot-path scratch: the single in-flight execution context and
 	// its completion event, and the SCHEDULE selection buffers.
@@ -230,12 +217,6 @@ func New(id int, env Env, rng *sim.RNG) *Unit {
 	u.taskDoneFn = u.taskDone
 	return u
 }
-
-// SetLegacyDeliver switches the unit back to one engine event per delivered
-// message instead of the batched inbox. The event-core equivalence tests run
-// both paths and require identical results.
-//ndplint:seam configuration toggle wired before the clock starts
-func (u *Unit) SetLegacyDeliver(on bool) { u.legacyDeliver = on }
 
 func (u *Unit) hotEnabled() bool {
 	cfg := u.cfg
@@ -679,59 +660,20 @@ func (u *Unit) Deliver(m *msg.Message) sim.Cycles {
 		off = u.queueOff
 	}
 	done := u.bank.Access(eng.Now(), off, m.Size(), true, dram.AccessComm, epj)
-	if u.legacyDeliver {
-		eng.At(done, func() { u.receive(m) }) //ndplint:alloc legacy compat path, off by default
-		return done
+	if done <= u.lastCommit {
+		panic(fmt.Sprintf("ndpunit: unit %d inbox commit at cycle %d, not after the previous at %d", u.id, done, u.lastCommit))
 	}
-	// Batched delivery: reserve the sequence number now (so global event
-	// order is identical to scheduling immediately) but park the message in
-	// the inbox. One dispatch event is in flight whenever the inbox is
-	// non-empty, keyed to the head entry's (cycle, seq).
-	seq := eng.ReserveSeq()
-	u.inbox = append(u.inbox, inboxEntry{at: done, seq: seq, m: m})
-	if len(u.inbox)-u.inboxHead == 1 {
-		eng.AtSeq(done, seq, u.inboxFn)
-	}
+	u.lastCommit = done
+	u.inbox.Push(m)
+	eng.At(done, u.inboxFn)
 	return done
 }
 
-// inboxFire dispatches the inbox head and coalesces directly-following
-// entries: a successor at the same cycle with the very next sequence number
-// would be the engine's next event anyway — nothing can order between two
-// consecutive sequence numbers at one cycle — so it is processed in the same
-// event and credited to the engine's processed count. Otherwise the successor
-// gets its own event under its reserved (cycle, seq).
+// inboxFire commits the inbox head, the message whose commit cycle has come.
 //
 //ndplint:hotpath
 func (u *Unit) inboxFire() {
-	e := u.inbox[u.inboxHead]
-	u.inbox[u.inboxHead] = inboxEntry{}
-	u.inboxHead++
-	u.receive(e.m)
-	eng := u.eng
-	for u.inboxHead < len(u.inbox) {
-		n := u.inbox[u.inboxHead]
-		if n.at == e.at && n.seq == e.seq+1 {
-			u.inbox[u.inboxHead] = inboxEntry{}
-			u.inboxHead++
-			eng.CreditEvent()
-			u.receive(n.m)
-			e = n
-			continue
-		}
-		eng.AtSeq(n.at, n.seq, u.inboxFn)
-		if u.inboxHead > 64 && u.inboxHead*2 >= len(u.inbox) {
-			k := copy(u.inbox, u.inbox[u.inboxHead:])
-			for i := k; i < len(u.inbox); i++ {
-				u.inbox[i] = inboxEntry{}
-			}
-			u.inbox = u.inbox[:k]
-			u.inboxHead = 0
-		}
-		return
-	}
-	u.inbox = u.inbox[:0]
-	u.inboxHead = 0
+	u.receive(u.inbox.Pop())
 }
 
 // freeMsg recycles a terminally-consumed message. Freeing is suppressed on

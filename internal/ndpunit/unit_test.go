@@ -1,6 +1,8 @@
 package ndpunit
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"ndpbridge/internal/config"
@@ -399,4 +401,63 @@ func TestUnitIdleAndBacklog(t *testing.T) {
 	if !u.Idle() || u.HasBacklog() {
 		t.Error("drained unit must be idle again")
 	}
+}
+
+// TestInboxCommitsInDeliveryOrder delivers several messages in one cycle:
+// each commits at its own bank completion, in delivery order.
+func TestInboxCommitsInDeliveryOrder(t *testing.T) {
+	env := newStubEnv(smallCfg(config.DesignB))
+	var ran []uint64
+	fn := env.reg.Register("f", func(ctx task.Ctx, tk task.Task) { ran = append(ran, tk.Addr) })
+	u := New(2, env, sim.NewRNG(1))
+	base := env.amap.Base(2)
+	var want []uint64
+	for i := uint64(0); i < 4; i++ {
+		addr := base + 128 + 64*i
+		want = append(want, addr)
+		env.TaskSpawned(0)
+		env.MsgStaged()
+		u.Deliver(msg.NewTask(0, 2, task.New(fn, 0, addr, 1)))
+	}
+	if u.inbox.Len() != 4 {
+		t.Fatalf("inbox holds %d messages, want 4", u.inbox.Len())
+	}
+	if err := env.eng.Run(0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !slices.Equal(ran, want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+	if u.inbox.Len() != 0 || env.inflight != 0 {
+		t.Errorf("inbox %d, inflight %d after the run", u.inbox.Len(), env.inflight)
+	}
+}
+
+// TestInboxCommitOrderGuard feeds the inbox a commit cycle that does not lie
+// past the previous one. The inbox pops its head on every commit event, so
+// that order would commit the wrong message; Deliver must panic instead.
+func TestInboxCommitOrderGuard(t *testing.T) {
+	fn := task.FuncID(0)
+	expectPanic := func(name string, deliver func()) {
+		t.Helper()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "inbox commit") {
+				t.Errorf("%s: recovered %q, want the inbox guard's panic", name, r)
+			}
+		}()
+		deliver()
+	}
+	env := newStubEnv(smallCfg(config.DesignB))
+	u := New(2, env, sim.NewRNG(1))
+	addr := env.amap.Base(2) + 128
+	u.Deliver(msg.NewTask(0, 2, task.New(fn, 0, addr, 1)))
+	// A fresh bank completes the same write at the same cycle again.
+	u.bank = dram.NewBank(env.cfg.Timing)
+	expectPanic("equal commit cycle", func() {
+		u.Deliver(msg.NewTask(0, 2, task.New(fn, 0, addr, 1)))
+	})
+	u.lastCommit = 1 << 40
+	expectPanic("earlier commit cycle", func() {
+		u.Deliver(msg.NewTask(0, 2, task.New(fn, 0, addr, 1)))
+	})
 }

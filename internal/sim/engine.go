@@ -93,10 +93,6 @@ type Engine struct {
 	// outgrows its seed abandons it for a normally-grown array.
 	evSlab []event //ndplint:nosnap allocator state, no logical content
 
-	// heapOnly disables the wheel (every event goes through the min-heap).
-	// The equivalence tests run both configurations against each other.
-	heapOnly bool
-
 	// Processed counts events executed so far; useful for budgeting.
 	processed uint64
 
@@ -120,11 +116,6 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{pq: make([]event, 0, 64), wheel: make([]bucket, wheelSize)}
 }
-
-// SetHeapOnly routes every future event through the min-heap, bypassing the
-// calendar queue. Both paths order events identically by (time, seq); the
-// toggle exists so determinism tests can prove it. Call before scheduling.
-func (e *Engine) SetHeapOnly(on bool) { e.heapOnly = on }
 
 // less orders the heap by time, breaking ties by insertion sequence.
 func (e *Engine) less(i, j int) bool {
@@ -194,9 +185,9 @@ func (e *Engine) pop() event {
 	return ev
 }
 
-// scheduleWheel places ev in its calendar slot. Appends are already in seq
-// order for fresh sequence numbers; an event carrying an older reserved seq
-// (AtSeq) is insertion-sorted from the tail so the bucket stays seq-ordered.
+// scheduleWheel places ev in its calendar slot. Every event carries a fresh,
+// engine-wide ascending sequence number, so appending keeps the bucket in seq
+// order.
 //
 //ndplint:hotpath
 func (e *Engine) scheduleWheel(ev event) {
@@ -211,25 +202,11 @@ func (e *Engine) scheduleWheel(ev event) {
 		e.evSlab = e.evSlab[seedCap:]
 	}
 	b.evs = append(b.evs, ev)
-	for i := len(b.evs) - 1; i > b.head && b.evs[i-1].seq > ev.seq; i-- {
-		b.evs[i], b.evs[i-1] = b.evs[i-1], b.evs[i]
-	}
 	e.occ[idx>>6] |= 1 << (idx & 63)
 	if e.wheelCount == 0 || ev.time < e.wheelNext {
 		e.wheelNext = ev.time
 	}
 	e.wheelCount++
-}
-
-// schedule routes one event to the wheel or the overflow heap.
-//
-//ndplint:hotpath
-func (e *Engine) schedule(t Cycles, seq uint64, fn func()) {
-	if !e.heapOnly && t-e.now < wheelSize {
-		e.scheduleWheel(event{time: t, seq: seq, fn: fn})
-		return
-	}
-	e.push(event{time: t, seq: seq, fn: fn})
 }
 
 // peekWheel returns the earliest pending wheel event time. It advances the
@@ -329,8 +306,9 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.pq) + e.wheelCount }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it is
-// always a model bug.
+// At schedules fn at absolute time t, in the wheel when t lies within its
+// look-ahead and in the overflow heap otherwise. Scheduling in the past
+// panics: it is always a model bug.
 //
 //ndplint:hotpath
 //ndplint:seam event scheduling API: the PDES sharder interposes per-shard queues and epoch windows here
@@ -339,41 +317,13 @@ func (e *Engine) At(t Cycles, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
 	e.seq++
-	e.schedule(t, e.seq, fn)
-}
-
-// ReserveSeq draws the next insertion sequence number without scheduling an
-// event. Batched-delivery queues reserve a seq per enqueued item at enqueue
-// time and later schedule their dispatch event with AtSeq, so the global
-// (time, seq) execution order is exactly what per-item scheduling would have
-// produced.
-//
-//ndplint:hotpath
-//ndplint:seam engine-global ordering sequence shared by every scheduler
-func (e *Engine) ReserveSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// AtSeq schedules fn at absolute time t under a sequence number previously
-// drawn with ReserveSeq. Like At, scheduling in the past panics.
-//
-//ndplint:hotpath
-//ndplint:seam event scheduling API: the PDES sharder interposes per-shard queues and epoch windows here
-func (e *Engine) AtSeq(t Cycles, seq uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
+	ev := event{time: t, seq: e.seq, fn: fn}
+	if t-e.now < wheelSize {
+		e.scheduleWheel(ev)
+		return
 	}
-	e.schedule(t, seq, fn)
+	e.push(ev)
 }
-
-// CreditEvent accounts one logically distinct event that a batched callback
-// executed inline (a same-cycle coalesced delivery), keeping Processed equal
-// to the per-item scheduling count.
-//
-//ndplint:hotpath
-//ndplint:seam event-conservation credit reported by components at direct delivery
-func (e *Engine) CreditEvent() { e.processed++ }
 
 // After schedules fn d cycles from now.
 //

@@ -107,3 +107,29 @@ func TestLinkNoOverlapProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLinkCompletionsStrictlyIncrease pins the invariant the host
+// forwarder's per-channel commit queue rests on: every non-empty transfer
+// completes strictly after the previous one, whatever the request times, even
+// on a link with no fixed latency.
+func TestLinkCompletionsStrictlyIncrease(t *testing.T) {
+	f := func(reqs []uint16, sizes []uint8, latency uint8) bool {
+		l := NewLink("p", 48, Cycles(latency%3))
+		var prev Cycles
+		for i, at := range reqs {
+			n := uint64(1)
+			if i < len(sizes) {
+				n += uint64(sizes[i])
+			}
+			end := l.Reserve(Cycles(at), n)
+			if end <= prev {
+				return false
+			}
+			prev = end
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,84 +1,152 @@
 package sim
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
 
-// firing is one executed event in a recorded schedule.
+// firing is one event of a recorded schedule: its schedule-order id and its
+// time (the target time when scheduled, the clock when fired).
 type firing struct {
 	id int
 	at Cycles
 }
 
+// scheduleOrder sorts a schedule into the engine's contract order: by time,
+// then by the order the events were scheduled in.
+func scheduleOrder(sched []firing) []firing {
+	want := slices.Clone(sched)
+	slices.SortFunc(want, func(a, b firing) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	return want
+}
+
 // runRandomSchedule drives an engine with a self-expanding random workload:
-// every fired event may schedule children at random deltas straddling the
-// wheel/heap boundary (0 … 2×WheelSize), including exact-boundary and
-// same-cycle deltas. It records the (id, time) firing order.
-func runRandomSchedule(t *testing.T, heapOnly bool, seed uint64, n int) []firing {
+// every fired event may schedule children at deltas drawn by delta. Ids are
+// handed out in schedule order. It returns the schedule (id, target time)
+// and the firing record (id, clock at firing).
+func runRandomSchedule(t *testing.T, e *Engine, seed uint64, n int, delta func(*RNG) Cycles) (sched, got []firing) {
 	t.Helper()
-	e := NewEngine()
-	e.SetHeapOnly(heapOnly)
 	rng := NewRNG(seed)
-	var got []firing
 	next := 0
 	var spawn func(id int) func()
+	at := func(when Cycles) {
+		id := next
+		next++
+		sched = append(sched, firing{id, when})
+		e.At(when, spawn(id))
+	}
 	spawn = func(id int) func() {
 		return func() {
 			got = append(got, firing{id, e.Now()})
-			if next >= n {
-				return
-			}
 			kids := 1 + rng.Intn(2)
 			for k := 0; k < kids && next < n; k++ {
-				var d Cycles
-				switch rng.Intn(6) {
-				case 0:
-					d = 0 // same cycle, must fire in seq order
-				case 1:
-					d = WheelSize - 1 // last wheel slot
-				case 2:
-					d = WheelSize // first heap delta
-				case 3:
-					d = WheelSize + rng.Uint64n(WheelSize) // far future
-				default:
-					d = rng.Uint64n(WheelSize) // typical near-future
-				}
-				id := next
-				next++
-				e.After(d, spawn(id))
+				at(e.Now() + delta(rng))
 			}
 		}
 	}
 	for i := 0; i < 8; i++ {
-		id := next
-		next++
-		e.At(rng.Uint64n(2*WheelSize), spawn(id))
+		at(delta(rng))
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return sched, got
+}
+
+// checkScheduleOrder requires the engine to have fired every scheduled event
+// at its target time, in (time, schedule order).
+func checkScheduleOrder(t *testing.T, seed uint64, sched, got []firing) {
+	t.Helper()
+	want := scheduleOrder(sched)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: fired %d events, scheduled %d", seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: firing %d is %+v, want %+v", seed, i, got[i], want[i])
+		}
+	}
 }
 
 // TestWheelHeapEquivalence proves the calendar queue is a pure container
-// optimization: for randomized schedules crossing the wheel/heap boundary,
-// the hybrid engine fires exactly the same events at the same times in the
-// same order as a heap-only engine.
+// optimization: for randomized schedules crossing the wheel/heap boundary
+// (same-cycle, last-wheel-slot, first-heap and far-future deltas), the
+// engine fires every event at its target time in (time, schedule order).
 func TestWheelHeapEquivalence(t *testing.T) {
+	delta := func(rng *RNG) Cycles {
+		switch rng.Intn(6) {
+		case 0:
+			return 0 // same cycle, must fire in schedule order
+		case 1:
+			return WheelSize - 1 // last wheel slot
+		case 2:
+			return WheelSize // first heap delta
+		case 3:
+			return WheelSize + rng.Uint64n(WheelSize) // far future
+		default:
+			return rng.Uint64n(WheelSize) // typical near-future
+		}
+	}
 	for _, seed := range []uint64{1, 7, 42, 1234, 99999} {
-		hybrid := runRandomSchedule(t, false, seed, 5000)
-		heap := runRandomSchedule(t, true, seed, 5000)
-		if len(hybrid) != len(heap) {
-			t.Fatalf("seed %d: fired %d events hybrid, %d heap-only", seed, len(hybrid), len(heap))
-		}
-		for i := range hybrid {
-			if hybrid[i] != heap[i] {
-				t.Fatalf("seed %d: firing %d diverges: hybrid %+v, heap-only %+v",
-					seed, i, hybrid[i], heap[i])
+		sched, got := runRandomSchedule(t, NewEngine(), seed, 5000, delta)
+		checkScheduleOrder(t, seed, sched, got)
+	}
+}
+
+// TestOverflowHeapOrder drives the overflow heap alone: every delta is at
+// least WheelSize, so no event ever enters the wheel. Deltas come from a
+// small set, so many events share a cycle and the heap's seq tie-break is
+// exercised.
+func TestOverflowHeapOrder(t *testing.T) {
+	for _, seed := range []uint64{3, 11, 2024} {
+		e := NewEngine()
+		maxPending := 0
+		sched, got := runRandomSchedule(t, e, seed, 3000, func(rng *RNG) Cycles {
+			if e.wheelCount != 0 {
+				t.Fatalf("seed %d: %d events in the wheel", seed, e.wheelCount)
 			}
+			maxPending = max(maxPending, len(e.pq))
+			return WheelSize + Cycles(rng.Intn(8))*(WheelSize/4)
+		})
+		checkScheduleOrder(t, seed, sched, got)
+		if maxPending < 2 {
+			t.Fatalf("seed %d: heap never held two events", seed)
 		}
-		// The engines must also agree on the clock and event count.
-		if len(hybrid) == 0 {
-			t.Fatalf("seed %d: schedule fired nothing", seed)
+	}
+}
+
+// TestCrossContainerTie pins popNext's seq tie-break between the two
+// containers. The first event is scheduled WheelSize or more ahead, into the
+// heap; the second is scheduled later for the same cycle, into the wheel.
+// They must fire in schedule order.
+func TestCrossContainerTie(t *testing.T) {
+	e := NewEngine()
+	const target = WheelSize + 5
+	var got []string
+	e.At(target, func() { got = append(got, "heap") })
+	if len(e.pq) != 1 || e.wheelCount != 0 {
+		t.Fatalf("first event not in the heap: heap %d, wheel %d", len(e.pq), e.wheelCount)
+	}
+	e.At(10, func() {
+		e.At(target, func() { got = append(got, "wheel") })
+		if e.wheelCount != 1 {
+			t.Fatalf("second event not in the wheel: wheel %d", e.wheelCount)
 		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []string{"heap", "wheel"}) {
+		t.Fatalf("fired %v, want [heap wheel]", got)
+	}
+	if e.Now() != target {
+		t.Fatalf("clock %d, want %d", e.Now(), target)
 	}
 }
 
