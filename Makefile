@@ -41,8 +41,10 @@ ownership:
 	$(GO) run ./cmd/ndplint -ownership-report ./... > results/ownership.json
 	$(GO) run ./cmd/ndplint -list-suppressions ./... > results/golden/ndplint-suppressions.txt
 
-# bench runs the event-core and message-path micro-benchmarks: dataBorrowed
-# lookups, mailbox enqueue+drain and task-queue push/pop.
+# bench runs the event-core, message-path and hot-data micro-benchmarks:
+# dataBorrowed lookups, mailbox enqueue+drain, task-queue push/pop, reserved
+# queue add/take and sketch Hottest.
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench 'BenchmarkBorrowed|BenchmarkMailbox|BenchmarkQueue' -benchmem -run xxx ./internal/metadata/ ./internal/mailbox/ ./internal/task/
+	$(GO) test -bench 'BenchmarkReserved|BenchmarkSketch' -benchmem -run xxx ./internal/sketch/

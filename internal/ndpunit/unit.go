@@ -303,9 +303,9 @@ func (u *Unit) SeedTask(t task.Task) {
 func (u *Unit) acceptTask(t task.Task) {
 	if u.sk != nil && t.TS == u.env.CurrentEpoch() {
 		blk := u.block(t.Addr)
-		u.sk.Observe(blk, t.EffectiveWorkload())
+		tracked := u.sk.Observe(blk, t.EffectiveWorkload())
 		u.hits64++
-		if _, tracked := u.sk.Lookup(blk); tracked && u.rq.Add(blk, t) {
+		if tracked && u.rq.Add(blk, t) {
 			u.rqWorkload += t.EffectiveWorkload()
 			return
 		}
@@ -494,25 +494,29 @@ func (u *Unit) hopCat(m *msg.Message) trace.Category {
 
 // flushStaged moves staged messages into the mailbox (or the chip mailbox
 // for same-chip destinations in design R), charging a DRAM write per
-// message. It returns false while messages remain (mailbox full).
+// message. It returns false while messages remain (mailbox full). The
+// staged array is kept across flushes, so emit does not regrow it.
 func (u *Unit) flushStaged() bool {
 	epj := u.cfg.Energy.DRAMAccessPJPer64b
 	now := u.eng.Now()
-	for len(u.staged) > 0 {
-		m := u.staged[0]
+	for i, m := range u.staged {
 		mb := u.mb
 		if u.chipMail != nil && m.Dst >= 0 && !m.Sched && u.env.Map().SameChip(u.id, m.Dst) {
 			mb = u.chipMail
 		}
 		if !mb.Enqueue(m) {
 			u.st.Stalls++
+			// Keep the unsent rest at the front of the same array.
+			n := copy(u.staged, u.staged[i:])
+			clear(u.staged[n:])
+			u.staged = u.staged[:n]
 			return false
 		}
 		u.st.MsgsOut++
 		u.bank.Access(now, u.mailboxOff, m.Size(), true, dram.AccessComm, epj)
-		u.staged = u.staged[1:]
 	}
-	u.staged = nil
+	clear(u.staged)
+	u.staged = u.staged[:0]
 	return true
 }
 

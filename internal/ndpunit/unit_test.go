@@ -7,6 +7,7 @@ import (
 
 	"ndpbridge/internal/config"
 	"ndpbridge/internal/dram"
+	"ndpbridge/internal/mailbox"
 	"ndpbridge/internal/msg"
 	"ndpbridge/internal/sim"
 	"ndpbridge/internal/task"
@@ -460,4 +461,69 @@ func TestInboxCommitOrderGuard(t *testing.T) {
 	expectPanic("earlier commit cycle", func() {
 		u.Deliver(msg.NewTask(0, 2, task.New(fn, 0, addr, 1)))
 	})
+}
+
+// TestFlushStagedKeepsRemainder fills the mailbox partway through the staged
+// list: the unsent rest stays staged in order, the stall counts once, and a
+// flush after the mailbox drains sends the rest.
+func TestFlushStagedKeepsRemainder(t *testing.T) {
+	cfg := smallCfg(config.DesignB)
+	env := newStubEnv(cfg)
+	u := New(0, env, sim.NewRNG(1))
+	remote := env.amap.Base(3)
+	var all []*msg.Message
+	for i := uint64(0); i < 10; i++ {
+		all = append(all, msg.NewTask(0, 3, task.New(0, 0, remote+64*i, 1)))
+	}
+	fit := 4
+	u.mb = mailbox.New(uint64(fit) * all[0].Size())
+	for _, m := range all {
+		u.emit(m)
+	}
+	if u.flushStaged() {
+		t.Fatal("flush into a full mailbox must report messages left")
+	}
+	if u.st.Stalls != 1 || u.mb.Len() != fit {
+		t.Fatalf("stalls=%d mailbox=%d, want 1, %d", u.st.Stalls, u.mb.Len(), fit)
+	}
+	if !slices.Equal(u.staged, all[fit:]) {
+		t.Fatalf("staged remainder %v, want %v", u.staged, all[fit:])
+	}
+	if tail := u.staged[len(u.staged):cap(u.staged)]; slices.ContainsFunc(tail, func(m *msg.Message) bool { return m != nil }) {
+		t.Error("vacated staged slots still point at sent messages")
+	}
+	sent, _ := u.mb.Drain(1 << 20)
+	sent = slices.Clone(sent)
+	for u.mb.Len() == 0 && len(u.staged) > 0 {
+		u.flushStaged()
+		ms, _ := u.mb.Drain(1 << 20)
+		sent = append(sent, ms...)
+	}
+	if !slices.Equal(sent, all) || len(u.staged) != 0 {
+		t.Errorf("sent %d messages in order %v, staged %d; want all 10 in emit order", len(sent), slices.Equal(sent, all), len(u.staged))
+	}
+}
+
+// TestEmitFlushDoesNotAllocate: once warm, staging a message and flushing it
+// reuses the staged array.
+func TestEmitFlushDoesNotAllocate(t *testing.T) {
+	env := newStubEnv(smallCfg(config.DesignB))
+	u := New(0, env, sim.NewRNG(1))
+	ms := make([]*msg.Message, 4)
+	for i := range ms {
+		ms[i] = msg.NewTask(0, 3, task.New(0, 0, env.amap.Base(3)+64*uint64(i), 1))
+	}
+	cycle := func() {
+		for _, m := range ms {
+			u.emit(m)
+		}
+		if !u.flushStaged() {
+			t.Fatal("flush stalled")
+		}
+		u.mb.Drain(1 << 20)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("emit+flush allocates %.1f times per cycle, want 0", n)
+	}
 }

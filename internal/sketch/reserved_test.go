@@ -23,7 +23,7 @@ func TestReservedAddTake(t *testing.T) {
 	if r.Workload(0x100) != 12 {
 		t.Errorf("Workload = %d, want 12", r.Workload(0x100))
 	}
-	got := r.Take(0x100)
+	got := r.TakeAppend(nil, 0x100)
 	if len(got) != 6 {
 		t.Fatalf("Take returned %d", len(got))
 	}
@@ -35,7 +35,7 @@ func TestReservedAddTake(t *testing.T) {
 	if r.FreeChunks() != 10 {
 		t.Errorf("chunks not freed: %d", r.FreeChunks())
 	}
-	if r.Take(0x100) != nil {
+	if len(r.TakeAppend(nil, 0x100)) != 0 {
 		t.Error("second Take should be empty")
 	}
 }
@@ -54,7 +54,7 @@ func TestReservedExhaustion(t *testing.T) {
 	if r.Add(0xb, task.New(0, 0, 9, 1)) {
 		t.Error("new block with no free chunk must fail")
 	}
-	r.Take(0xa)
+	r.TakeAppend(nil, 0xa)
 	if !r.Add(0xb, task.New(0, 0, 9, 1)) {
 		t.Error("Add after free must succeed")
 	}

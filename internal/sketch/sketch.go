@@ -28,7 +28,11 @@ type Sketch struct {
 	entries   int
 	decayBase float64 //ndplint:nosnap config constant
 	table     [][]Entry
-	rng       *sim.RNG
+	// best holds, per bucket, the first slot with the bucket's largest
+	// workload (-1 for an empty bucket), so Hottest compares bucket maxima
+	// instead of scanning every entry.
+	best []int //ndplint:nosnap derived from table, rebuilt on restore
+	rng  *sim.RNG
 
 	inserted uint64 // total workload offered
 	decays   uint64
@@ -50,13 +54,26 @@ func New(buckets, entriesPerBucket int, decayBase float64, rng *sim.RNG) *Sketch
 	// check in Observe relies on.
 	t := make([][]Entry, buckets)
 	slab := make([]Entry, buckets*entriesPerBucket)
+	best := make([]int, buckets)
 	for i := range t {
 		t[i] = slab[i*entriesPerBucket : i*entriesPerBucket : (i+1)*entriesPerBucket]
+		best[i] = -1
 	}
 	return &Sketch{
 		buckets: buckets, entries: entriesPerBucket,
-		decayBase: decayBase, table: t, rng: rng,
+		decayBase: decayBase, table: t, best: best, rng: rng,
 	}
+}
+
+// rescan recomputes bucket bi's best slot.
+func (s *Sketch) rescan(bi int) {
+	best := -1
+	for i, e := range s.table[bi] {
+		if best < 0 || e.Workload > s.table[bi][best].Workload {
+			best = i
+		}
+	}
+	s.best[bi] = best
 }
 
 func (s *Sketch) bucket(addr uint64) int {
@@ -64,23 +81,32 @@ func (s *Sketch) bucket(addr uint64) int {
 	return int((h >> 33) % uint64(s.buckets))
 }
 
-// Observe records a task of workload w on block addr. Unspecified workloads
-// should be offered as 1 by the caller.
-func (s *Sketch) Observe(addr uint64, w uint64) {
+// Observe records a task of workload w on block addr and reports whether
+// addr is tracked afterwards. Unspecified workloads should be offered as 1 by
+// the caller.
+func (s *Sketch) Observe(addr uint64, w uint64) bool {
 	if w == 0 {
 		w = 1
 	}
 	s.inserted += w
-	b := s.table[s.bucket(addr)]
+	bi := s.bucket(addr)
+	b := s.table[bi]
 	for i := range b {
 		if b[i].Addr == addr {
 			b[i].Workload += w
-			return
+			if best := s.best[bi]; i != best && (b[i].Workload > b[best].Workload ||
+				b[i].Workload == b[best].Workload && i < best) {
+				s.best[bi] = i
+			}
+			return true
 		}
 	}
 	if len(b) < cap(b) {
-		s.table[s.bucket(addr)] = append(b, Entry{Addr: addr, Workload: w})
-		return
+		s.table[bi] = append(b, Entry{Addr: addr, Workload: w})
+		if best := s.best[bi]; best < 0 || w > b[best].Workload {
+			s.best[bi] = len(b)
+		}
+		return true
 	}
 	// Bucket full: decay the weakest entry probabilistically.
 	minIdx := 0
@@ -95,23 +121,31 @@ func (s *Sketch) Observe(addr uint64, w uint64) {
 		if b[minIdx].Workload <= w {
 			// Counter would go negative: replace.
 			b[minIdx] = Entry{Addr: addr, Workload: w}
-		} else {
-			b[minIdx].Workload -= w
+			s.rescan(bi)
+			return true
+		}
+		b[minIdx].Workload -= w
+		if minIdx == s.best[bi] {
+			s.rescan(bi)
 		}
 	}
+	return false
 }
 
 // Hottest returns the entry with the highest workload, or false if the
-// sketch is empty.
+// sketch is empty. Ties go to the first entry in bucket-then-slot order.
+//
+//ndplint:hotpath
 func (s *Sketch) Hottest() (Entry, bool) {
 	var best Entry
 	found := false
-	for _, b := range s.table {
-		for _, e := range b {
-			if !found || e.Workload > best.Workload {
-				best = e
-				found = true
-			}
+	for bi, i := range s.best {
+		if i < 0 {
+			continue
+		}
+		if e := s.table[bi][i]; !found || e.Workload > best.Workload {
+			best = e
+			found = true
 		}
 	}
 	return best, found
@@ -125,6 +159,7 @@ func (s *Sketch) Remove(addr uint64) bool {
 		if b[i].Addr == addr {
 			b[i] = b[len(b)-1]
 			s.table[bi] = b[:len(b)-1]
+			s.rescan(bi)
 			return true
 		}
 	}
@@ -169,6 +204,7 @@ func (s *Sketch) InsertedWorkload() uint64 { return s.inserted }
 func (s *Sketch) Reset() {
 	for i := range s.table {
 		s.table[i] = s.table[i][:0]
+		s.best[i] = -1
 	}
 	s.inserted = 0
 	s.decays = 0

@@ -10,8 +10,7 @@ import (
 // This file is the sketch layer's serialization boundary: the heavy-hitter
 // sketch (bucket tables plus its private RNG stream position — probabilistic
 // decay must resume mid-stream for determinism) and the reserved task queue
-// (blocks in insertion order, so the byte stream is independent of map
-// iteration order).
+// (live blocks in drain order).
 
 // SnapshotTo encodes the sketch: shape for validation, every bucket's
 // entries in slot order, the decay RNG position, and the counters.
@@ -47,6 +46,7 @@ func (s *Sketch) RestoreFrom(d *checkpoint.Dec) error {
 		for j := uint32(0); j < n; j++ {
 			s.table[i] = append(s.table[i], Entry{Addr: d.U64(), Workload: d.U64()})
 		}
+		s.rescan(i)
 	}
 	s.rng.SetState(d.U64())
 	s.inserted = d.U64()
@@ -55,23 +55,25 @@ func (s *Sketch) RestoreFrom(d *checkpoint.Dec) error {
 }
 
 // SnapshotTo encodes the reserved queue: chunk accounting plus every live
-// block in insertion order with its reserved tasks.
+// block with its reserved tasks, in drain order. A block appears once, at its
+// first order position (where DrainAppend takes it), however many stale
+// order entries precede its current list.
 func (r *ReservedQueue) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(int64(r.chunkTasks))
 	e.I64(int64(r.totalChunks))
 	e.I64(int64(r.freeChunks))
-	live := 0
-	for _, b := range r.order {
-		if _, ok := r.blocks[b]; ok {
-			live++
-		}
+	e.U32(uint32(r.live()))
+	if r.live() == 0 {
+		return // the queue is empty at every epoch barrier
 	}
-	e.U32(uint32(live))
+	written := make([]bool, len(r.lists))
 	for _, b := range r.order {
-		bl, ok := r.blocks[b]
-		if !ok {
-			continue // stale order entry (block already taken)
+		_, li := r.find(b)
+		if li < 0 || written[li] {
+			continue // stale order entry (block taken, or already written)
 		}
+		written[li] = true
+		bl := &r.lists[li]
 		e.U64(b)
 		e.I64(int64(bl.chunks))
 		e.U32(uint32(len(bl.tasks)))
@@ -92,12 +94,18 @@ func (r *ReservedQueue) RestoreFrom(d *checkpoint.Dec) error {
 	}
 	r.freeChunks = int(d.I64())
 	n := d.U32()
-	r.blocks = make(map[uint64]*blockList, n)
+	r.lists = r.lists[:0]
+	r.free = r.free[:0]
+	clear(r.index)
 	r.order = r.order[:0]
 	r.total = 0
 	for i := uint32(0); i < n; i++ {
 		b := d.U64()
-		bl := &blockList{chunks: int(d.I64())}
+		if _, li := r.find(b); li >= 0 {
+			return fmt.Errorf("sketch: reserved-queue snapshot repeats block %#x", b)
+		}
+		bl := &r.lists[r.insert(b)]
+		bl.chunks = int(d.I64())
 		cnt := d.U32()
 		for j := uint32(0); j < cnt; j++ {
 			bl.tasks = append(bl.tasks, task.DecodeTask(d))
@@ -105,7 +113,6 @@ func (r *ReservedQueue) RestoreFrom(d *checkpoint.Dec) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		r.blocks[b] = bl
 		r.order = append(r.order, b)
 		r.total += len(bl.tasks)
 	}

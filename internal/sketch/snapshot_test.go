@@ -60,7 +60,7 @@ func TestReservedQueueSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("add %d failed", i)
 		}
 	}
-	q.Take(1 << 12) // free one block so order has a stale entry
+	q.TakeAppend(nil, 1<<12) // free one block so order has a stale entry
 
 	var e checkpoint.Enc
 	q.SnapshotTo(&e)
@@ -81,5 +81,28 @@ func TestReservedQueueSnapshotRoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("drain[%d] = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestReservedQueueSnapshotWritesBlockOnce is the regression test for a
+// block taken and re-added: order then holds it twice, and the snapshot
+// must still carry its list once, so a restore counts one task, not two.
+func TestReservedQueueSnapshotWritesBlockOnce(t *testing.T) {
+	q := NewReservedQueue(4, 2)
+	q.Add(0x100, task.Task{TS: 1, Addr: 0x100})
+	q.TakeAppend(nil, 0x100)
+	q.Add(0x100, task.Task{TS: 1, Addr: 0x101})
+
+	var e checkpoint.Enc
+	q.SnapshotTo(&e)
+	r := NewReservedQueue(4, 2)
+	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
+		t.Fatal(err)
+	}
+	if r.Total() != 1 || r.Len(0x100) != 1 || r.FreeChunks() != 3 {
+		t.Fatalf("restored total=%d len=%d free=%d, want 1, 1, 3", r.Total(), r.Len(0x100), r.FreeChunks())
+	}
+	if got := r.Drain(); len(got) != 1 || got[0].Addr != 0x101 {
+		t.Errorf("restored drain = %v, want the one re-added task", got)
 	}
 }
